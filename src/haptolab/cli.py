@@ -54,12 +54,10 @@ _DEFAULTS = {
     "prep_shift": 0.0,
     "n_snapshots": 4,
     "d0": 0.04,
-    "n_grid": None,
     "n_sharp": 256,
     "eta": 0.1,
     "M0": 2.0,
     "out": "runs",
-    "seed": 0,
 }
 
 
@@ -109,13 +107,6 @@ def normalize_config(data: dict) -> dict:
     for key in ("eps", "lam", "alpha", "t_end", "d0"):
         if not (isinstance(merged[key], (int, float)) and merged[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
-    if merged["n_grid"] is not None:
-        h = 1.0 / merged["n_grid"]
-        if h > merged["eps"] / 4 + 1e-12:
-            raise ConfigError(
-                f"under-resolved: h = 1/{merged['n_grid']} exceeds eps/4 "
-                f"= {merged['eps'] / 4:.6g}"
-            )
     if merged["kind"] == "convergence":
         if not merged["eps_list"]:
             raise ConfigError("convergence runs need eps_list")

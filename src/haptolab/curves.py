@@ -212,30 +212,44 @@ def _point_segment_distances(points: np.ndarray, a: np.ndarray,
     return best
 
 
-def distance_to_curve(points: np.ndarray, curve: InterfaceCurve,
-                      k_near: int = 8) -> np.ndarray:
-    """Unsigned distance from points to the polyline.
+def distance_to_curve(points: np.ndarray,
+                      curve: InterfaceCurve) -> np.ndarray:
+    """Exact unsigned distance from points to the polyline.
 
-    A KD-tree over vertices preselects the k_near closest vertices per point;
-    exact point-to-segment distance is then taken over the segments adjacent
-    to those vertices. Exact for smooth, densely sampled curves.
+    A KD-tree over vertices gives each point its k nearest vertices, and
+    the segments adjacent to them give a candidate distance `best`. A
+    segment nearer than best has an end vertex within
+    sqrt(best^2 + (L_max/2)^2) of the point, where L_max is the longest
+    segment, so best is exact when the k-th nearest vertex lies farther
+    out than that. k grows only for the points that fail this test.
     """
     a, b = curve.segments()
     n = len(a)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if n <= 2 * k_near:
-        return _point_segment_distances(points, a, b)
-    tree = cKDTree(curve.points)
-    _, idx = tree.query(points, k=k_near)
-    # segments adjacent to vertex i are i-1 and i
-    segs = np.concatenate([(idx - 1) % n, idx], axis=1)
     d = b - a
     L2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
-    aa, dd, ll = a[segs], d[segs], L2[segs]
-    ap = points[:, None, :] - aa
-    t = np.clip(np.einsum("pki,pki->pk", ap, dd) / ll, 0.0, 1.0)
-    diff = ap - t[:, :, None] * dd
-    return np.sqrt(np.min(np.sum(diff * diff, axis=2), axis=1))
+    half_L2 = 0.25 * float(L2.max())
+    tree = cKDTree(curve.points)
+    out = np.empty(len(points))
+    todo = np.arange(len(points))
+    k = 8
+    while todo.size and 2 * k < n:
+        p = points[todo]
+        d_k, idx = tree.query(p, k=k)
+        # segments adjacent to vertex i are i-1 and i
+        segs = np.concatenate([(idx - 1) % n, idx], axis=1)
+        aa, dd, ll = a[segs], d[segs], L2[segs]
+        ap = p[:, None, :] - aa
+        t = np.clip(np.einsum("pki,pki->pk", ap, dd) / ll, 0.0, 1.0)
+        diff = ap - t[:, :, None] * dd
+        best2 = np.min(np.sum(diff * diff, axis=2), axis=1)
+        exact = d_k[:, -1] ** 2 > best2 + half_L2
+        out[todo[exact]] = np.sqrt(best2[exact])
+        todo = todo[~exact]
+        k *= 4
+    if todo.size:
+        out[todo] = _point_segment_distances(points[todo], a, b)
+    return out
 
 
 def crossing_number_inside(points: np.ndarray,

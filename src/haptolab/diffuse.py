@@ -276,13 +276,13 @@ def chi_gradient(v: ScalarField, chi: ChiSpec) -> VectorField:
     return VectorField(v.grid, cp * grad.x, cp * grad.y)
 
 
-def dt_max(p: HaptoParams, grid: Grid, v: ScalarField) -> float:
+def dt_max(p: HaptoParams, grid: Grid, w: VectorField) -> float:
     """Explicit stability bound: diffusion CFL, reaction stiffness,
-    advection CFL."""
+    advection CFL for the drift w = chi_gradient(v, p.chi)."""
     bound = min(grid.h**2 / 8.0, p.eps**2 / 10.0)
-    w = chi_gradient(v, p.chi).max_norm()
-    if w > 0:
-        bound = min(bound, grid.h / (4.0 * w))
+    w_max = w.max_norm()
+    if w_max > 0:
+        bound = min(bound, grid.h / (4.0 * w_max))
     return bound
 
 
@@ -306,31 +306,41 @@ def advance_enzyme(m: ScalarField, source: np.ndarray, alpha: float,
                    dt: float) -> ScalarField:
     """Backward-Euler step of m_t = alpha lap(m) + source - m."""
     rhs = ScalarField(m.grid, m.values + dt * source)
-    return helmholtz_solve_neumann(1.0 + dt, dt * alpha, rhs, x0=m,
-                                   tol=1e-10)
+    return helmholtz_solve_neumann(1.0 + dt, dt * alpha, rhs)
+
+
+def advance_vm(v_init: ScalarField, m: ScalarField, int_m: ScalarField,
+               source: np.ndarray, p: HaptoParams, dt: float
+               ) -> tuple[ScalarField, ScalarField, ScalarField]:
+    """One step of the (v, m) subsystem driven by the occupancy `source`.
+
+    Backward Euler for m, the trapezoid rule for the enzyme integral, and
+    the exact matrix v = v_init exp(-lam int m). Returns (v, m, int_m).
+    """
+    m_new = advance_enzyme(m, source, p.alpha, dt)
+    int_new = int_m.values + 0.5 * dt * (m.values + m_new.values)
+    v_new = v_init.values * np.exp(-p.lam * int_new)
+    return (ScalarField(m.grid, v_new), m_new,
+            ScalarField(m.grid, int_new))
 
 
 def step_diffuse(s: DiffuseState, p: HaptoParams, dt: float,
-                 check: bool = True) -> DiffuseState:
-    """One Strang-split step; t advances by dt."""
+                 w: VectorField, check: bool = True) -> DiffuseState:
+    """One Strang-split step with the drift w = chi_gradient(s.v, p.chi);
+    t advances by dt."""
     grid = s.u.grid
     u = _reaction_half_step(s.u.values, p, 0.5 * dt)
 
-    w = chi_gradient(s.v, p.chi)
     uf = ScalarField(grid, u)
     u = u + dt * (laplacian_neumann(uf).values
                   - advective_divergence(uf, w).values)
-    m_new = advance_enzyme(s.m, s.u.values, p.alpha, dt)
-
-    int_m = s.int_m.values + 0.5 * dt * (s.m.values + m_new.values)
-    v_new = ScalarField(grid, s.v_init.values * np.exp(-p.lam * int_m))
+    v_new, m_new, int_m = advance_vm(s.v_init, s.m, s.int_m, s.u.values,
+                                     p, dt)
 
     u = _reaction_half_step(u, p, 0.5 * dt)
 
-    out = DiffuseState(
-        ScalarField(grid, u), v_new, m_new,
-        ScalarField(grid, int_m), s.t + dt, s.v_init,
-    )
+    out = DiffuseState(ScalarField(grid, u), v_new, m_new, int_m, s.t + dt,
+                       s.v_init)
     out.u.assert_finite("u")
     out.m.assert_finite("m")
     if check:
@@ -350,8 +360,9 @@ def run_diffuse(s0: DiffuseState, p: HaptoParams, t_end: float,
     snaps: list[DiffuseState] = [s.copy()]
     for mark in marks:
         while s.t < mark - 1e-14:
-            dt = min(dt_max(p, s.u.grid, s.v), mark - s.t)
-            s = step_diffuse(s, p, dt, check=check)
+            w = chi_gradient(s.v, p.chi)
+            dt = min(dt_max(p, s.u.grid, w), mark - s.t)
+            s = step_diffuse(s, p, dt, w, check=check)
         s = replace(s, t=mark)  # absorb round-off on the hit
         snaps.append(s.copy())
     return snaps
@@ -361,9 +372,9 @@ def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
                    m0: ScalarField, dt: float = 1e-3):
     """Integrate the (v, m) subsystem for a prescribed u history.
 
-    times/u_fields describe u linearly in time; the same backward-Euler
-    enzyme scheme and exact exponential v reconstruction as step_diffuse are
-    used. Returns (times, v_fields, m_fields) sampled at the input times.
+    times/u_fields describe u linearly in time; the steps are those of
+    step_diffuse (advance_vm). Returns (times, v_fields, m_fields) sampled
+    at the input times.
     """
     times = [float(t) for t in times]
     if len(times) != len(u_fields) or len(times) < 1:
@@ -385,19 +396,16 @@ def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
         w = (t - times[k]) / (times[k + 1] - times[k])
         return (1 - w) * u_fields[k].values + w * u_fields[k + 1].values
 
-    m = ScalarField(grid, m0.values.copy())
-    int_m = np.zeros_like(m.values)
+    m, int_m = m0, ScalarField.full(grid, 0.0)
     t = times[0]
-    v_out = [ScalarField(grid, v0.values.copy())]
-    m_out = [m.copy()]
+    v_out = [v0.copy()]
+    m_out = [m0.copy()]
     for mark in times[1:]:
         while t < mark - 1e-14:
             step = min(dt, mark - t)
-            m_new = advance_enzyme(m, u_at(t), p.alpha, step)
-            int_m = int_m + 0.5 * step * (m.values + m_new.values)
-            m = m_new
+            v, m, int_m = advance_vm(v0, m, int_m, u_at(t), p, step)
             t += step
         t = mark
-        v_out.append(ScalarField(grid, v0.values * np.exp(-p.lam * int_m)))
-        m_out.append(m.copy())
+        v_out.append(v)
+        m_out.append(m)
     return times, v_out, m_out

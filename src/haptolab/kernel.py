@@ -47,27 +47,10 @@ def standing_profile_second(z):
     return -f_bistable(standing_profile(z))
 
 
-def _check_profile_residual():
-    z = np.linspace(-20.0, 20.0, 10_001)
-    res = standing_profile_second(z) + f_bistable(standing_profile(z))
-    worst = float(np.abs(res).max())
-    if worst > 1e-12:
-        raise AssertionError(f"standing profile residual {worst:.3e} > 1e-12")
-
-
-_check_profile_residual()
-
-
 @dataclass
 class ProfileTable:
     z: np.ndarray
     u: np.ndarray
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("z,u\n")
-            for zi, ui in zip(self.z, self.u):
-                fh.write(f"{zi:.17g},{ui:.17g}\n")
 
 
 def solve_profile_bvp(half_width: float, n: int, tol: float = 1e-13,

@@ -20,7 +20,7 @@ from .curves import (
     distance_to_curve,
     extract_level_curve,
 )
-from .diffuse import HaptoParams, advance_enzyme, chi_gradient
+from .diffuse import HaptoParams, advance_vm, chi_gradient
 from .errors import (
     BoundaryContactError,
     DegenerateLevelSetError,
@@ -138,12 +138,15 @@ def sharp_dt_max(grid: Grid, w_max: float) -> float:
 
 
 def step_sharp(s: SharpState, p: HaptoParams, dt: float,
-               motion: bool = True, evolve_fields: bool = True) -> SharpState:
+               w: VectorField | None, motion: bool = True,
+               evolve_fields: bool = True) -> SharpState:
     """One explicit step of the interface law plus the (v, m) subsystem.
 
-    With motion=False only v and m evolve (frozen-interface diagnostics);
-    with evolve_fields=False the fields are frozen, which is exact for the
-    haptotaxis-off oracle where they never feed back on the front.
+    w is the drift chi_gradient(s.v, p.chi), or None where chi is constant
+    and there is none. With motion=False only v and m evolve
+    (frozen-interface diagnostics); with evolve_fields=False the fields are
+    frozen, which is exact for the haptotaxis-off oracle where they never
+    feed back on the front.
     """
     grid = s.phi.grid
     phi = s.phi.values
@@ -152,16 +155,13 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float,
     if motion:
         kterm = curvature_term(s.phi, band)
         phi = phi + dt * kterm
-        if p.chi.variant != "constant":
-            w = chi_gradient(s.v, p.chi)
+        if w is not None:
             phi = phi - dt * _upwind_advection(s.phi.values, w, grid.h, band)
 
     if evolve_fields:
         u_ind = (s.phi.values < 0).astype(float)
-        m_new = advance_enzyme(s.m, u_ind, p.alpha, dt)
-        int_m = s.int_m.values + 0.5 * dt * (s.m.values + m_new.values)
-        v_new = ScalarField(grid, s.v_init.values * np.exp(-p.lam * int_m))
-        int_m = ScalarField(grid, int_m)
+        v_new, m_new, int_m = advance_vm(s.v_init, s.m, s.int_m, u_ind, p,
+                                         dt)
     else:
         m_new, v_new, int_m = s.m, s.v, s.int_m
 
@@ -192,14 +192,15 @@ def front_cells(phi: np.ndarray, widen: int = 0) -> np.ndarray:
     return mask
 
 
-def redistance(s: SharpState, k_near: int = 8) -> SharpState:
+def redistance(s: SharpState) -> SharpState:
     """Rebuild phi as a clamped signed distance without moving the front.
 
     Cells straddling the zero level (and one dilation ring) keep their value
     up to a rescaling by the local gradient magnitude (clipped to [1/4, 4]);
     the front position they encode is never replaced by a polyline
     projection, which would bias the motion. All other cells are rebuilt
-    from the exact distance to the extracted zero contour and then clamped.
+    from the exact distance to the nearest loop of the extracted zero
+    contour and then clamped.
     """
     grid = s.phi.grid
     phi = s.phi.values
@@ -221,7 +222,10 @@ def redistance(s: SharpState, k_near: int = 8) -> SharpState:
     far_pts = np.stack([X[~near], Y[~near]], axis=1)
     new = phi / gmag
     if far_pts.size:
-        d = distance_to_curve(far_pts, curve, k_near=k_near)
+        d = distance_to_curve(far_pts, curve)
+        for loop in curve.extras:
+            d = np.minimum(d, distance_to_curve(far_pts,
+                                                InterfaceCurve(loop, 0.0)))
         sign = np.where(phi[~near] < 0, -1.0, 1.0)
         vals = new.copy()
         vals[~near] = sign * d
@@ -270,18 +274,16 @@ def _check_front(s: SharpState, margin: float, wall_dist: np.ndarray):
 
 def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
               snapshot_times: tuple[float, ...] = (),
-              redistance_every: int | None = None,
               wall_margin: float | None = None,
               grad_bounds: tuple[float, float] = (0.7, 1.5),
               evolve_fields: bool = True) -> list[SharpState]:
     """Advance to t_end, hitting each snapshot time exactly.
 
-    Redistancing is on demand by default: only when the gradient magnitude
-    in the band leaves grad_bounds. A fixed cadence (every redistancing
-    carries an O(h^2) front perturbation, so redistancing every k steps with
-    dt ~ h^2 accumulates an O(1) bias) is available via redistance_every for
-    diagnostics. Raises BoundaryContactError if the front approaches a wall
-    closer than the margin (default 4 d0), InterfaceExtinct if it vanishes.
+    Redistancing is on demand, only when the gradient magnitude in the band
+    leaves grad_bounds: every redistancing carries an O(h^2) front
+    perturbation, so a fixed cadence with dt ~ h^2 would accumulate an O(1)
+    bias. Raises BoundaryContactError if the front approaches a wall closer
+    than the margin (default 4 d0), InterfaceExtinct if it vanishes.
     """
     if t_end < s0.t:
         raise ValueError("t_end before current time")
@@ -292,20 +294,14 @@ def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
     wall_dist = _wall_distance(s.phi.grid)
     _check_front(s, margin, wall_dist)
     snaps: list[SharpState] = [s.copy()]
-    n_steps = 0
     chi_off = p.chi.variant == "constant"
     for mark in marks:
         while s.t < mark - 1e-14:
-            w_max = 0.0 if chi_off \
-                else chi_gradient(s.v, p.chi).max_norm()
+            w = None if chi_off else chi_gradient(s.v, p.chi)
+            w_max = 0.0 if w is None else w.max_norm()
             dt = min(sharp_dt_max(s.phi.grid, w_max), mark - s.t)
-            s = step_sharp(s, p, dt, evolve_fields=evolve_fields)
-            n_steps += 1
-            if redistance_every is not None:
-                need = n_steps % redistance_every == 0
-            else:
-                need = _band_gradient_drifted(s, *grad_bounds)
-            if need:
+            s = step_sharp(s, p, dt, w, evolve_fields=evolve_fields)
+            if _band_gradient_drifted(s, *grad_bounds):
                 s = redistance(s)
             _check_front(s, margin, wall_dist)
         s.t = mark

@@ -29,6 +29,7 @@ from haptolab.diffuse import (
     CosineSpec,
     HaptoParams,
     ShapeSpec,
+    chi_gradient,
     dt_max,
     run_diffuse,
     solve_vm_for_u,
@@ -249,8 +250,9 @@ def test_criterion_7_envelope_inequalities():
                       BASE_V0, BASE_M0, t_end=0.005, n_snapshots=1)
     snaps, p = diffuse_run(cfg, eps)
     s1 = snaps[-1]
-    dt = dt_max(p, s1.u.grid, s1.v)
-    s2 = step_diffuse(s1, p, dt)
+    w = chi_gradient(s1.v, p.chi)
+    dt = dt_max(p, s1.u.grid, w)
+    s2 = step_diffuse(s1, p, dt, w)
     u_t = ScalarField(s1.u.grid, (s2.u.values - s1.u.values) / dt)
     res = residual_Lv(s1.u, s1.v, u_t, p.chi, eps)
     slack = residual_slack(s1.u.grid.h, dt, eps)

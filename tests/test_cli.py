@@ -29,11 +29,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(path)
 
-    def test_under_resolved_rejected(self, tmp_path):
-        path = write_config(tmp_path, kind="diffuse", eps=0.04, n_grid=50)
-        with pytest.raises(ConfigError, match="under-resolved"):
-            parse_config(path)
-
     def test_malformed_json_diagnostics(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  \"kind\": profile\n}")

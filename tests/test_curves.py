@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haptolab.curves import (
     InterfaceCurve,
+    _point_segment_distances,
     circle_polyline,
     crossing_number_inside,
     distance_to_curve,
@@ -105,6 +108,36 @@ class TestDistances:
         fast = distance_to_curve(pts, c)
         exact = np.abs(np.linalg.norm(pts - 0.5, axis=1) - 0.3)
         assert np.abs(fast - exact).max() < 1e-5
+
+
+SEMICIRCLE = np.linspace(0.0, 1.0, 200).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=300,
+                       unique=True),
+    span=st.floats(0.3, 2 * np.pi),
+    radius=st.floats(0.05, 0.4),
+    center=st.tuples(st.floats(0.3, 0.7), st.floats(0.2, 0.7)),
+    queries=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=40),
+)
+@example(fractions=SEMICIRCLE, span=np.pi, radius=0.3, center=(0.5, 0.2),
+         queries=[(0.5, 0.24)])
+def test_distance_matches_bruteforce_on_uneven_arcs(fractions, span, radius,
+                                                    center, queries):
+    # an arc with uneven vertex spacing, closed by its chord: the chord is
+    # one long segment whose end vertices can both be far from a point
+    # that lies next to it
+    th = span * np.sort(fractions)
+    c = InterfaceCurve(np.stack([center[0] + radius * np.cos(th),
+                                 center[1] + radius * np.sin(th)], axis=1))
+    pts = np.array(queries)
+    a, b = c.segments()
+    np.testing.assert_allclose(distance_to_curve(pts, c),
+                               _point_segment_distances(pts, a, b),
+                               rtol=0, atol=1e-12)
 
 
 def test_crossing_number_circle():

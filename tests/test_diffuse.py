@@ -29,7 +29,8 @@ def march(state, params, t_end, dt):
     n = int(round(t_end / dt))
     assert abs(n * dt - t_end) < 1e-12
     for _ in range(n):
-        state = step_diffuse(state, params, dt)
+        state = step_diffuse(state, params, dt,
+                             chi_gradient(state.v, params.chi))
     return state
 
 
@@ -111,7 +112,8 @@ class TestStructure:
         h2 = s.u.grid.h**2
         mass0 = s.u.values.sum() * h2
         for _ in range(30):
-            s = step_diffuse(s, p, dt_max(p, s.u.grid, s.v))
+            w = chi_gradient(s.v, p.chi)
+            s = step_diffuse(s, p, dt_max(p, s.u.grid, w), w)
         assert abs(s.u.values.sum() * h2 - mass0) < 1e-12
 
     def test_snapshot_times_exact(self, front_state):

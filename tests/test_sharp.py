@@ -108,7 +108,7 @@ class TestMotion:
                        ScalarField.full(grid, 1.0), 0.06)
         before = s.phi.values.copy()
         for _ in range(50):
-            s = step_sharp(s, mcf, grid.h**2 / 8)
+            s = step_sharp(s, mcf, grid.h**2 / 8, None)
         assert np.abs(s.phi.values - before).max() < 1e-8
 
     def test_haptotaxis_translates_front(self):
@@ -154,6 +154,24 @@ class TestRedistance:
         band = np.abs(r.phi.values) < 1.5 * s.d0
         mag = np.hypot(gx, gy)[band]
         assert 0.9 < mag.min() and mag.max() < 1.1
+
+    def test_every_loop_kept(self):
+        # two disjoint fronts: the far field near each one must come from
+        # the distance to that one, not to the longer loop
+        grid = Grid.unit_square(128)
+        X, Y = grid.meshgrid()
+        circles = (((0.3, 0.3), 0.12), ((0.7, 0.7), 0.1))
+        dists = [np.hypot(X - cx, Y - cy) - r for (cx, cy), r in circles]
+        d0 = 0.04
+        phi = ScalarField(grid, _clamp(np.minimum(*dists), d0))
+        one = ScalarField.full(grid, 1.0)
+        zero = ScalarField.full(grid, 0.0)
+        s = SharpState(phi, one, zero, zero, 0.0, one, d0)
+        assert s.interface().n_components == 2
+        r = redistance(s)
+        for d in dists:
+            near = np.abs(d) < 0.08
+            assert np.abs(r.phi.values - phi.values)[near].max() <= 1e-3
 
     def test_output_clamped(self):
         s = circle_state(n=64, r=0.2, d0=0.03)
