@@ -9,12 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    InterfaceCurve,
-    extract_level_curve,
-    hausdorff,
-    one_sided_sup_distance,
-)
+from .curves import extract_level_curve, one_sided_sup_distance
 from .diffuse import (
     CosineSpec,
     DiffuseState,
@@ -140,10 +135,9 @@ def residual_Lv(u: ScalarField, v: ScalarField, u_t: ScalarField,
     return ScalarField(u.grid, vals)
 
 
-def residual_slack(h: float, dt: float, eps: float, factor: float = 5.0
-                   ) -> float:
+def residual_slack(h: float, dt: float, eps: float) -> float:
     """Empirical discretization slack for sign checks of residual_Lv."""
-    return factor * (h + dt) / eps**2
+    return 5.0 * (h + dt) / eps**2
 
 
 # --- convergence study ----------------------------------------------------
@@ -323,8 +317,8 @@ class BracketReport:
         return json.dumps(self.__dict__, indent=2)
 
 
-def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants,
-                  base_slack: float = 1e-6) -> BracketReport:
+def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants
+                  ) -> BracketReport:
     """Verify the diffuse solution stays between the moving envelopes.
 
     The envelope distance field is rebuilt at each snapshot as the exact
@@ -332,7 +326,7 @@ def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants,
     front on the envelope's own length scale (identity within 2 * c.d0,
     flat beyond 3 * c.d0).  The tracker's raw phi is only trusted near the
     zero level, so interpolating it directly would overstate interior
-    depth.  Slack at each time is base_slack + q(t), with q absorbing the
+    depth.  Slack at each time is 1e-6 + q(t), with q absorbing the
     envelope's own vertical offset.
     """
     p_sharp = HaptoParams(eps=eps, lam=cfg.lam, alpha=cfg.alpha, chi=cfg.chi)
@@ -353,7 +347,7 @@ def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants,
         lo = envelope_fields(d_field, t, eps, c, -1)
         hi = envelope_fields(d_field, t, eps, c, +1)
         _, q = envelope_p_q(t, eps, c)
-        slack = base_slack + q
+        slack = 1e-6 + q
         below = float((lo.values - d_snap.u.values).max())
         above = float((d_snap.u.values - hi.values).max())
         passed = passed and below <= slack and above <= slack
@@ -372,6 +366,4 @@ __all__ = [
     "fit_loglog_slope", "ConvergenceRecord", "StudyConfig", "grid_for_eps",
     "sharp_reference", "diffuse_run", "convergence_study",
     "refinement_order", "BracketReport", "bracket_check",
-    "InterfaceCurve", "extract_level_curve", "one_sided_sup_distance",
-    "hausdorff",
 ]

@@ -107,6 +107,11 @@ def normalize_config(data: dict) -> dict:
     for key in ("eps", "lam", "alpha", "t_end", "d0"):
         if not (isinstance(merged[key], (int, float)) and merged[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
+    if merged["kind"] == "compare" and (
+            merged["chi"].get("variant") != "constant"
+            or merged["shape"].get("kind", "circle") != "circle"):
+        raise ConfigError("compare scores against the curvature-flow radius "
+                          "law, so it needs a circle and constant chi")
     if merged["kind"] == "convergence":
         if not merged["eps_list"]:
             raise ConfigError("convergence runs need eps_list")

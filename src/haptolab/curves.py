@@ -1,7 +1,7 @@
 """Level-curve extraction and polyline distance metrics.
 
 Curves are ordered closed polylines stored without repeating the first
-vertex; segment i runs from points[i] to points[(i+1) % len].
+vertex; segment i of a loop runs from its vertex i to vertex (i+1) % len.
 """
 from __future__ import annotations
 
@@ -16,11 +16,13 @@ from .grid import Grid, ScalarField
 
 @dataclass
 class InterfaceCurve:
+    """One or more closed loops: the primary loop `points` and the further
+    components `extras`. Segments, and so every measure built on them, span
+    all loops; `write_curve` writes the primary loop only."""
+
     points: np.ndarray
     level: float = 0.5
     grid: Grid | None = None
-    closed: bool = True
-    # additional loops when the level set has several components
     extras: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
@@ -35,8 +37,11 @@ class InterfaceCurve:
         return 1 + len(self.extras)
 
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        a = self.points
-        b = np.roll(self.points, -1, axis=0)
+        """Segment starts a and ends b over every loop; b[i] is the vertex
+        after a[i] in its own loop."""
+        loops = [self.points, *self.extras]
+        a = np.concatenate(loops)
+        b = np.concatenate([np.roll(p, -1, axis=0) for p in loops])
         return a, b
 
     def length(self) -> float:
@@ -44,10 +49,10 @@ class InterfaceCurve:
         return float(np.linalg.norm(b - a, axis=1).sum())
 
     def area(self) -> float:
-        """Signed shoelace area (positive for counterclockwise)."""
-        x, y = self.points[:, 0], self.points[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        return float(0.5 * np.sum(x * yn - xn * y))
+        """Signed shoelace area summed over the loops (positive for
+        counterclockwise)."""
+        a, b = self.segments()
+        return float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
 
     def resample(self, step: float) -> np.ndarray:
         """Points subdividing every segment at spacing <= step."""
@@ -214,30 +219,39 @@ def _point_segment_distances(points: np.ndarray, a: np.ndarray,
 
 def distance_to_curve(points: np.ndarray,
                       curve: InterfaceCurve) -> np.ndarray:
-    """Exact unsigned distance from points to the polyline.
+    """Exact unsigned distance from points to the polyline's loops.
 
-    A KD-tree over vertices gives each point its k nearest vertices, and
-    the segments adjacent to them give a candidate distance `best`. A
-    segment nearer than best has an end vertex within
+    A KD-tree over the vertices of every loop gives each point its k
+    nearest vertices, and the segments adjacent to them give a candidate
+    distance `best`. A segment nearer than best has an end vertex within
     sqrt(best^2 + (L_max/2)^2) of the point, where L_max is the longest
     segment, so best is exact when the k-th nearest vertex lies farther
     out than that. k grows only for the points that fail this test.
     """
     a, b = curve.segments()
     n = len(a)
+    # prev[i]: the segment ending at vertex i, within the loop of vertex i
+    prev = np.arange(-1, n - 1)
+    start = 0
+    for loop in (curve.points, *curve.extras):
+        prev[start] = start + len(loop) - 1
+        start += len(loop)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = b - a
     L2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
     half_L2 = 0.25 * float(L2.max())
-    tree = cKDTree(curve.points)
+    tree = cKDTree(a)
     out = np.empty(len(points))
     todo = np.arange(len(points))
     k = 8
     while todo.size and 2 * k < n:
         p = points[todo]
         d_k, idx = tree.query(p, k=k)
-        # segments adjacent to vertex i are i-1 and i
-        segs = np.concatenate([(idx - 1) % n, idx], axis=1)
+        # segments adjacent to vertex i are prev[i] and i; filled in place,
+        # as a gathered temporary joined to idx raised peak memory by 4 MB
+        segs = np.empty((len(idx), 2 * k), dtype=idx.dtype)
+        np.take(prev, idx, out=segs[:, :k])
+        segs[:, k:] = idx
         aa, dd, ll = a[segs], d[segs], L2[segs]
         ap = p[:, None, :] - aa
         t = np.clip(np.einsum("pki,pki->pk", ap, dd) / ll, 0.0, 1.0)
@@ -278,7 +292,7 @@ def one_sided_sup_distance(a: InterfaceCurve, b: InterfaceCurve,
     """sup over (subdivided) points of a of the distance to polyline b."""
     if seg_step is None:
         h = a.grid.h if a.grid is not None else None
-        seg_step = 0.5 * h if h else 0.5 * a.length() / max(len(a.points), 1)
+        seg_step = 0.5 * h if h else 0.5 * a.length() / len(a.segments()[0])
     samples = a.resample(seg_step)
     return float(distance_to_curve(samples, b).max())
 

@@ -325,7 +325,7 @@ def advance_vm(v_init: ScalarField, m: ScalarField, int_m: ScalarField,
 
 
 def step_diffuse(s: DiffuseState, p: HaptoParams, dt: float,
-                 w: VectorField, check: bool = True) -> DiffuseState:
+                 w: VectorField) -> DiffuseState:
     """One Strang-split step with the drift w = chi_gradient(s.v, p.chi);
     t advances by dt."""
     grid = s.u.grid
@@ -343,29 +343,40 @@ def step_diffuse(s: DiffuseState, p: HaptoParams, dt: float,
                        s.v_init)
     out.u.assert_finite("u")
     out.m.assert_finite("m")
-    if check:
-        out.check_invariants(p)
+    out.check_invariants(p)
     return out
 
 
-def run_diffuse(s0: DiffuseState, p: HaptoParams, t_end: float,
-                snapshot_times: tuple[float, ...] = (),
-                check: bool = True) -> list[DiffuseState]:
-    """Advance with automatic dt, hitting each snapshot time exactly."""
+def march(s0, t_end: float, snapshot_times, advance) -> list:
+    """The time-marching loop shared by every solver.
+
+    advance(s, mark) returns the state one step on from s, without passing
+    mark. The marks are the distinct snapshot times and t_end later than
+    s0.t, in order; a state within 1e-14 of a mark has reached it. Returns
+    a copy of s0 and one of the state at each mark, whose t is set to the
+    mark exactly (absorbing round-off on the hit).
+    """
     if t_end < s0.t:
         raise ValueError("t_end before current time")
     marks = sorted({float(t) for t in snapshot_times} | {t_end})
-    marks = [t for t in marks if t > s0.t]
     s = s0
-    snaps: list[DiffuseState] = [s.copy()]
-    for mark in marks:
+    snaps = [s.copy()]
+    for mark in (t for t in marks if t > s0.t):
         while s.t < mark - 1e-14:
-            w = chi_gradient(s.v, p.chi)
-            dt = min(dt_max(p, s.u.grid, w), mark - s.t)
-            s = step_diffuse(s, p, dt, w, check=check)
-        s = replace(s, t=mark)  # absorb round-off on the hit
+            s = advance(s, mark)
+        s = replace(s, t=mark)
         snaps.append(s.copy())
     return snaps
+
+
+def run_diffuse(s0: DiffuseState, p: HaptoParams, t_end: float,
+                snapshot_times: tuple[float, ...] = ()) -> list[DiffuseState]:
+    """Advance with automatic dt, hitting each snapshot time exactly."""
+    def advance(s: DiffuseState, mark: float) -> DiffuseState:
+        w = chi_gradient(s.v, p.chi)
+        return step_diffuse(s, p, min(dt_max(p, s.u.grid, w), mark - s.t), w)
+
+    return march(s0, t_end, snapshot_times, advance)
 
 
 def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
@@ -385,8 +396,6 @@ def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
         if np.any(uf.values < -1e-12) or np.any(uf.values > p.C0 + 1e-12):
             raise ValueError("prescribed u outside [0, C0]")
 
-    grid = v0.grid
-
     def u_at(t: float) -> np.ndarray:
         if t <= times[0]:
             return u_fields[0].values
@@ -396,16 +405,12 @@ def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
         w = (t - times[k]) / (times[k + 1] - times[k])
         return (1 - w) * u_fields[k].values + w * u_fields[k + 1].values
 
-    m, int_m = m0, ScalarField.full(grid, 0.0)
-    t = times[0]
-    v_out = [v0.copy()]
-    m_out = [m0.copy()]
-    for mark in times[1:]:
-        while t < mark - 1e-14:
-            step = min(dt, mark - t)
-            v, m, int_m = advance_vm(v0, m, int_m, u_at(t), p, step)
-            t += step
-        t = mark
-        v_out.append(v)
-        m_out.append(m)
-    return times, v_out, m_out
+    def advance(s: DiffuseState, mark: float) -> DiffuseState:
+        step = min(dt, mark - s.t)
+        v, m, int_m = advance_vm(v0, s.m, s.int_m, u_at(s.t), p, step)
+        return replace(s, v=v, m=m, int_m=int_m, t=s.t + step)
+
+    s0 = DiffuseState(u_fields[0], v0, m0, ScalarField.full(v0.grid, 0.0),
+                      times[0], v0)
+    snaps = march(s0, times[-1], times[1:], advance)
+    return times, [s.v for s in snaps], [s.m for s in snaps]

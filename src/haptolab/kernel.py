@@ -204,18 +204,17 @@ class EnvelopeConstants:
         return cls(**json.loads(s))
 
 
-def sup_f_bound(samples: int = 1_000_000) -> float:
-    """sup over [-1, 2] of |f| + |f'| + |f''| by dense sampling."""
-    z = np.linspace(-1.0, 2.0, samples)
-    total = np.abs(f_bistable(z)) + np.abs(f_prime(z)) + np.abs(f_second(z))
-    return float(total.max())
-
-
 def envelope_constants(T: float, d0: float, eps0: float, K: float,
-                       b: float = 0.125, samples: int = 1_000_000,
-                       max_shrink: int = 80) -> EnvelopeConstants:
+                       b: float = 0.125) -> EnvelopeConstants:
     """Compute the envelope constants, shrinking eps0 until both feasibility
-    inequalities hold."""
+    inequalities hold.
+
+    F = sup over [-1, 2] of |f| + |f'| + |f''| = 3 + 6.5 + 9, reached at
+    both ends. -f' is a parabola with its maximum at 1/2, so its minimum
+    over the wells [0, b] and [1 - b, 1] sits at b or 1 - b; -U0' peaks at
+    0 and falls off symmetrically, so its minimum over the plateau
+    [-z_edge, z_edge] sits at an end.
+    """
     if T <= 0 or d0 <= 0 or eps0 <= 0:
         raise ValueError("T, d0 and eps0 must be positive")
     if K <= 1:
@@ -223,19 +222,16 @@ def envelope_constants(T: float, d0: float, eps0: float, K: float,
     if not 0 < b < 0.5:
         raise ValueError("b must lie in (0, 1/2)")
 
-    F = sup_f_bound(samples)
-    wells = np.concatenate([
-        np.linspace(0.0, b, 20_000), np.linspace(1.0 - b, 1.0, 20_000)
-    ])
-    m_f = float((-f_prime(wells)).min())
+    F = 18.5
+    m_f = float((-f_prime(np.array([b, 1.0 - b]))).min())
     if m_f <= 0:
         raise ConstantsInfeasibleError(
             f"no spectral margin at b={b}: f' is not <= 0 on the wells"
         )
     # slope bound on the plateau {z : profile in [b, 1-b]}
     z_edge = SQRT2 * math.log((1.0 - b) / b)
-    z = np.linspace(-z_edge, z_edge, 20_000)
-    a1 = float((-standing_profile_derivative(z)).min())
+    a1 = float((-standing_profile_derivative(np.array([-z_edge, z_edge])))
+               .min())
 
     beta = m_f / 4.0
     sigma0 = a1 / (m_f + F)
@@ -244,7 +240,7 @@ def envelope_constants(T: float, d0: float, eps0: float, K: float,
     sigma = 0.9 * min(sigma0, sigma1, sigma2)
 
     eps = float(eps0)
-    for _ in range(max_shrink):
+    for _ in range(80):
         if eps < d0 / 4.0:
             L = math.log(d0 / (4.0 * eps)) / T
             elt = d0 / (4.0 * eps)  # e^{L T}

@@ -8,7 +8,6 @@ enzymes of the limiting occupancy (the indicator of the inside region).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .curves import (
     distance_to_curve,
     extract_level_curve,
 )
-from .diffuse import HaptoParams, advance_vm, chi_gradient
+from .diffuse import HaptoParams, advance_vm, chi_gradient, march
 from .errors import (
     BoundaryContactError,
     DegenerateLevelSetError,
@@ -54,8 +53,8 @@ class SharpState:
 
 
 def signed_distance_to_loop(curve: InterfaceCurve, grid: Grid) -> ScalarField:
-    """Exact signed distance from cell centers to a simple closed polyline,
-    negative inside (even-odd rule)."""
+    """Exact signed distance from cell centers to the loops of a simple
+    closed polyline, negative inside (even-odd rule over every loop)."""
     if not curve.is_simple():
         raise InvalidCurveError("interface polyline self-intersects")
     X, Y = grid.meshgrid()
@@ -88,8 +87,7 @@ def init_levelset(curve: InterfaceCurve, grid: Grid, v0: ScalarField,
                       v_init=v0.copy(), d0=d0)
 
 
-def curvature_term(phi: ScalarField, band: np.ndarray,
-                   grad_floor: float = 1e-6) -> np.ndarray:
+def curvature_term(phi: ScalarField, band: np.ndarray) -> np.ndarray:
     """(N-1) kappa |grad phi| on the masked band via the quotient formula
     div(grad phi / |grad phi|) |grad phi|."""
     h = phi.grid.h
@@ -100,7 +98,7 @@ def curvature_term(phi: ScalarField, band: np.ndarray,
     pyy = (p[1:-1, 2:] - 2 * p[1:-1, 1:-1] + p[1:-1, :-2]) / h**2
     pxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4 * h**2)
     g2 = px**2 + py**2
-    if np.any(g2[band] < grad_floor**2):
+    if np.any(g2[band] < 1e-12):
         raise DegenerateLevelSetError(
             "level-set gradient collapsed inside the band; redistance"
         )
@@ -138,25 +136,22 @@ def sharp_dt_max(grid: Grid, w_max: float) -> float:
 
 
 def step_sharp(s: SharpState, p: HaptoParams, dt: float,
-               w: VectorField | None, motion: bool = True,
+               w: VectorField | None,
                evolve_fields: bool = True) -> SharpState:
     """One explicit step of the interface law plus the (v, m) subsystem.
 
     w is the drift chi_gradient(s.v, p.chi), or None where chi is constant
-    and there is none. With motion=False only v and m evolve
-    (frozen-interface diagnostics); with evolve_fields=False the fields are
-    frozen, which is exact for the haptotaxis-off oracle where they never
-    feed back on the front.
+    and there is none. With evolve_fields=False the fields are frozen,
+    which is exact for the haptotaxis-off oracle where they never feed back
+    on the front.
     """
     grid = s.phi.grid
     phi = s.phi.values
     band = np.abs(phi) < 2.5 * s.d0
 
-    if motion:
-        kterm = curvature_term(s.phi, band)
-        phi = phi + dt * kterm
-        if w is not None:
-            phi = phi - dt * _upwind_advection(s.phi.values, w, grid.h, band)
+    phi = phi + dt * curvature_term(s.phi, band)
+    if w is not None:
+        phi = phi - dt * _upwind_advection(s.phi.values, w, grid.h, band)
 
     if evolve_fields:
         u_ind = (s.phi.values < 0).astype(float)
@@ -223,9 +218,6 @@ def redistance(s: SharpState) -> SharpState:
     new = phi / gmag
     if far_pts.size:
         d = distance_to_curve(far_pts, curve)
-        for loop in curve.extras:
-            d = np.minimum(d, distance_to_curve(far_pts,
-                                                InterfaceCurve(loop, 0.0)))
         sign = np.where(phi[~near] < 0, -1.0, 1.0)
         vals = new.copy()
         vals[~near] = sign * d
@@ -236,16 +228,17 @@ def redistance(s: SharpState) -> SharpState:
     return out
 
 
-def _band_gradient_drifted(s: SharpState, lo: float, hi: float) -> bool:
-    """Gradient quality near the zero level only; the front's motion sees
-    stencils within a few cells of it, and drift farther out is harmless."""
+def _band_gradient_drifted(s: SharpState) -> bool:
+    """Whether |grad phi| near the zero level has left [0.7, 1.5]. Only
+    there: the front's motion sees stencils within a few cells of it, and
+    drift farther out is harmless."""
     grid = s.phi.grid
     band = front_cells(s.phi.values, widen=3)
     if not np.any(band):
         return True
     gx, gy = np.gradient(s.phi.values, grid.h, grid.h)
     mag = np.hypot(gx, gy)[band]
-    return bool(mag.min() < lo or mag.max() > hi)
+    return bool(mag.min() < 0.7 or mag.max() > 1.5)
 
 
 def _wall_distance(grid: Grid) -> np.ndarray:
@@ -274,36 +267,28 @@ def _check_front(s: SharpState, margin: float, wall_dist: np.ndarray):
 
 def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
               snapshot_times: tuple[float, ...] = (),
-              wall_margin: float | None = None,
-              grad_bounds: tuple[float, float] = (0.7, 1.5),
               evolve_fields: bool = True) -> list[SharpState]:
     """Advance to t_end, hitting each snapshot time exactly.
 
-    Redistancing is on demand, only when the gradient magnitude in the band
-    leaves grad_bounds: every redistancing carries an O(h^2) front
+    Redistancing is on demand, only when the gradient magnitude near the
+    front leaves [0.7, 1.5]: every redistancing carries an O(h^2) front
     perturbation, so a fixed cadence with dt ~ h^2 would accumulate an O(1)
-    bias. Raises BoundaryContactError if the front approaches a wall closer
-    than the margin (default 4 d0), InterfaceExtinct if it vanishes.
+    bias. Raises BoundaryContactError if the front comes closer to a wall
+    than 4 d0, InterfaceExtinct if it vanishes.
     """
-    if t_end < s0.t:
-        raise ValueError("t_end before current time")
-    margin = 4 * s0.d0 if wall_margin is None else wall_margin
-    marks = sorted({float(t) for t in snapshot_times} | {t_end})
-    marks = [t for t in marks if t > s0.t]
-    s = s0
-    wall_dist = _wall_distance(s.phi.grid)
-    _check_front(s, margin, wall_dist)
-    snaps: list[SharpState] = [s.copy()]
+    margin = 4 * s0.d0
+    wall_dist = _wall_distance(s0.phi.grid)
+    _check_front(s0, margin, wall_dist)
     chi_off = p.chi.variant == "constant"
-    for mark in marks:
-        while s.t < mark - 1e-14:
-            w = None if chi_off else chi_gradient(s.v, p.chi)
-            w_max = 0.0 if w is None else w.max_norm()
-            dt = min(sharp_dt_max(s.phi.grid, w_max), mark - s.t)
-            s = step_sharp(s, p, dt, w, evolve_fields=evolve_fields)
-            if _band_gradient_drifted(s, *grad_bounds):
-                s = redistance(s)
-            _check_front(s, margin, wall_dist)
-        s.t = mark
-        snaps.append(s.copy())
-    return snaps
+
+    def advance(s: SharpState, mark: float) -> SharpState:
+        w = None if chi_off else chi_gradient(s.v, p.chi)
+        w_max = 0.0 if w is None else w.max_norm()
+        dt = min(sharp_dt_max(s.phi.grid, w_max), mark - s.t)
+        s = step_sharp(s, p, dt, w, evolve_fields=evolve_fields)
+        if _band_gradient_drifted(s):
+            s = redistance(s)
+        _check_front(s, margin, wall_dist)
+        return s
+
+    return march(s0, t_end, snapshot_times, advance)

@@ -108,8 +108,7 @@ class TestGeneration:
 
 @pytest.fixture(scope="module")
 def consts():
-    return envelope_constants(T=0.02, d0=0.06, eps0=0.01, K=1.5,
-                              samples=200_000)
+    return envelope_constants(T=0.02, d0=0.06, eps0=0.01, K=1.5)
 
 
 class TestEnvelopes:

@@ -113,6 +113,25 @@ class TestMain:
         code = main(["profile", "--config", str(path)])
         assert code == 2
 
+    def test_compare_rejects_what_its_law_does_not_cover(self, tmp_path,
+                                                         capsys):
+        # compare scores against the radius law r^2 = r0^2 - 2t of a circle
+        # under curvature flow; linear chi (the default) adds a drift, and a
+        # star is no circle
+        configs = [
+            {"v0": {"constant": 1.0, "modes": [[1, 0, 0.5]]}},
+            {"chi": {"variant": "constant", "coeffs": [], "v_max": 10.0},
+             "shape": {"kind": "star", "center": [0.5, 0.5], "r0": 0.25,
+                       "amp": 0.03, "k": 4}},
+        ]
+        for i, extra in enumerate(configs):
+            path = write_config(tmp_path, name=f"c{i}.json", kind="compare",
+                                eps=0.05, t_end=0.004, n_sharp=64, **extra)
+            code = main(["compare", "--config", str(path),
+                         "--out", str(tmp_path / f"run{i}")])
+            assert code == 2
+            assert "constant chi" in capsys.readouterr().err
+
     def test_exit_four_on_failed_assertion(self, tmp_path, capsys):
         # an absurdly small M0 marks interior points that cannot have
         # converged yet, so the generation check must fail

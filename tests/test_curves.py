@@ -16,6 +16,7 @@ from haptolab.curves import (
 )
 from haptolab.errors import EmptyLevelSetError
 from haptolab.grid import Grid, ScalarField, interpolate_bilinear
+from haptolab.sharp import signed_distance_to_loop
 
 
 def circle_field(n, R, center=(0.5, 0.5)):
@@ -108,6 +109,68 @@ class TestDistances:
         fast = distance_to_curve(pts, c)
         exact = np.abs(np.linalg.norm(pts - 0.5, axis=1) - 0.3)
         assert np.abs(fast - exact).max() < 1e-5
+
+
+TWO_CIRCLES = (((0.3, 0.5), 0.12), ((0.72, 0.5), 0.1))
+
+
+@pytest.fixture(scope="module")
+def two_fronts():
+    """The two-circle front at n = 96, the front of its first circle, and
+    the exact signed distance to the pair."""
+    g = Grid.unit_square(96)
+    X, Y = g.meshgrid()
+    d = [np.hypot(X - cx, Y - cy) - r for (cx, cy), r in TWO_CIRCLES]
+    two = extract_level_curve(ScalarField(g, np.minimum(*d)), 0.0)
+    one = extract_level_curve(ScalarField(g, d[0]), 0.0)
+    assert (two.n_components, one.n_components) == (2, 1)
+    return two, one, np.minimum(*d)
+
+
+class TestEveryLoop:
+    def test_segments_close_each_loop(self, two_fronts):
+        two, _, _ = two_fronts
+        a, b = two.segments()
+        start = 0
+        for loop in (two.points, *two.extras):
+            end = start + len(loop)
+            np.testing.assert_array_equal(a[start:end], loop)
+            np.testing.assert_array_equal(b[end - 1], loop[0])
+            start = end
+        assert start == len(a)
+
+    def test_hausdorff_sees_a_lost_component(self, two_fronts):
+        # the far side of the second circle lies 0.52 - 0.12 = 0.4 from the
+        # first circle
+        two, one, _ = two_fronts
+        assert hausdorff(two, one) == pytest.approx(0.4, abs=2e-3)
+        assert one_sided_sup_distance(one, two) < 2e-3
+
+    def test_distance_matches_bruteforce(self, two_fronts):
+        two, _, _ = two_fronts
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(400, 2))
+        np.testing.assert_allclose(
+            distance_to_curve(pts, two),
+            _point_segment_distances(pts, *two.segments()), rtol=0,
+            atol=1e-12)
+
+    def test_area_and_length_sum_the_loops(self, two_fronts):
+        two, _, _ = two_fronts
+        area = np.pi * sum(r**2 for _, r in TWO_CIRCLES)
+        length = 2 * np.pi * sum(r for _, r in TWO_CIRCLES)
+        assert abs(abs(two.area()) - area) < 5e-3 * area
+        assert abs(two.length() - length) < 5e-3 * length
+
+    def test_signed_distance_to_every_loop(self, two_fronts):
+        two, _, exact = two_fronts
+        sd = signed_distance_to_loop(two, two.grid)
+        assert np.abs(sd.values - exact).max() < 1e-3
+
+    def test_inside_test_covers_every_loop(self, two_fronts):
+        two, _, _ = two_fronts
+        pts = np.array([[0.3, 0.5], [0.72, 0.5], [0.51, 0.5], [0.9, 0.9]])
+        assert crossing_number_inside(pts, two).tolist() == [
+            True, True, False, False]
 
 
 SEMICIRCLE = np.linspace(0.0, 1.0, 200).tolist()

@@ -2,6 +2,7 @@
 structural invariants (conservation, monotone matrix decay, exact snapshot
 times)."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,27 @@ class TestStructure:
         s.u.values[3, 3] = 2.5  # above C0
         with pytest.raises(StabilityViolationError):
             s.check_invariants(HaptoParams(eps=0.1, lam=1.0, alpha=1.0))
+
+
+class TestMarch:
+    """run_diffuse marches through the shared loop `march`."""
+
+    def test_one_snapshot_per_distinct_mark(self):
+        grid = Grid.unit_square(8)
+        p = HaptoParams(eps=0.1, lam=1.0, alpha=1.0)
+        s0 = replace(uniform_state(grid, 0.3, 1.0, 0.2), t=1e-4)
+        # dt_max is 1e-3 here, so the later marks take several steps
+        times = (2.5e-3, 0.0, 1e-4, 1e-3, 2.5e-3, 5e-5, 1e-3)
+        snaps = run_diffuse(s0, p, 4e-3, snapshot_times=times)
+        assert [s.t for s in snaps] == [1e-4, 1e-3, 2.5e-3, 4e-3]
+        assert s0.t == 1e-4
+        assert len({id(s.u) for s in snaps}) == len(snaps)
+
+    def test_t_end_before_start_rejected(self):
+        grid = Grid.unit_square(8)
+        s0 = replace(uniform_state(grid, 0.3, 1.0, 0.2), t=1e-3)
+        with pytest.raises(ValueError, match="t_end"):
+            run_diffuse(s0, HaptoParams(eps=0.1, lam=1.0, alpha=1.0), 5e-4)
 
 
 class TestInitialData:

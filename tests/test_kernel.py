@@ -17,7 +17,6 @@ from haptolab.kernel import (
     standing_profile,
     standing_profile_derivative,
     standing_profile_second,
-    sup_f_bound,
 )
 
 
@@ -122,8 +121,7 @@ class TestChiSpec:
 
 @pytest.fixture(scope="module")
 def consts():
-    return envelope_constants(T=0.02, d0=0.06, eps0=0.02, K=1.5,
-                              samples=200_000)
+    return envelope_constants(T=0.02, d0=0.06, eps0=0.02, K=1.5)
 
 
 class TestEnvelopeConstants:
@@ -152,12 +150,24 @@ class TestEnvelopeConstants:
         )
         assert np.all(lhs >= 4 * c.sigma * c.beta - 1e-13)
 
-    def test_F_stable_under_sampling_refinement(self):
-        assert abs(sup_f_bound(1_000_000) - sup_f_bound(10_000_000)) < 1e-6
+    def test_closed_forms_match_dense_samples(self):
+        # F, m_f and a1 are extrema taken at interval ends; a dense scan
+        # over each interval must find the same values
+        z = np.linspace(-1.0, 2.0, 1_000_000)
+        total = np.abs(f_bistable(z)) + np.abs(f_prime(z)) + np.abs(f_second(z))
+        for b in (0.05, 0.1, 0.125, 0.2):
+            c = envelope_constants(0.02, 0.06, 0.02, 1.5, b=b)
+            assert c.F == total.max()
+            wells = np.concatenate([np.linspace(0.0, b, 20_000),
+                                    np.linspace(1.0 - b, 1.0, 20_000)])
+            assert c.m_f == (-f_prime(wells)).min()
+            z_edge = math.sqrt(2.0) * math.log((1.0 - b) / b)
+            plateau = np.linspace(-z_edge, z_edge, 20_000)
+            assert c.a1 == (-standing_profile_derivative(plateau)).min()
 
     def test_deterministic(self):
-        a = envelope_constants(0.02, 0.06, 0.02, 1.5, samples=100_000)
-        b = envelope_constants(0.02, 0.06, 0.02, 1.5, samples=100_000)
+        a = envelope_constants(0.02, 0.06, 0.02, 1.5)
+        b = envelope_constants(0.02, 0.06, 0.02, 1.5)
         assert a == b
 
     def test_roundtrip_json(self, consts):
@@ -166,7 +176,7 @@ class TestEnvelopeConstants:
     def test_infeasible_b_raises(self):
         # with b = 1/4 the margin min(-f') on the wells is negative
         with pytest.raises(ConstantsInfeasibleError):
-            envelope_constants(0.02, 0.06, 0.02, 1.5, b=0.25, samples=10_000)
+            envelope_constants(0.02, 0.06, 0.02, 1.5, b=0.25)
 
 
 class TestEnvelopePQ:

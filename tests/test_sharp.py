@@ -2,6 +2,7 @@
 circle against its closed-form radius, stationary flat fronts, the area
 decay law, and redistancing behaviour."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +136,26 @@ class TestMotion:
         s = init_levelset(curve, grid, ScalarField.full(grid, 2.0),
                           ScalarField.full(grid, 0.0), d0=0.05)
         with pytest.raises(BoundaryContactError):
-            run_sharp(s, mcf, 0.001, wall_margin=0.2)
+            run_sharp(s, mcf, 0.001)  # margin 4 d0 = 0.2
+
+
+class TestMarch:
+    """run_sharp marches through the shared loop `march`."""
+
+    def test_one_snapshot_per_distinct_mark(self):
+        s0 = replace(circle_state(n=32, r=0.2), t=1e-4)
+        # dt = h^2/6 = 1.6e-4; a mark a hair past s0.t takes no step, and
+        # the snapshot there must not move s0's own clock
+        times = (6e-4, 0.0, 1e-4, 1e-4 + 5e-15, 6e-4, 3e-4)
+        snaps = run_sharp(s0, mcf, 1.2e-3, snapshot_times=times)
+        assert [s.t for s in snaps] == [1e-4, 1e-4 + 5e-15, 3e-4, 6e-4,
+                                        1.2e-3]
+        assert s0.t == 1e-4
+
+    def test_t_end_before_start_rejected(self):
+        s0 = replace(circle_state(n=32, r=0.2), t=1e-3)
+        with pytest.raises(ValueError, match="t_end"):
+            run_sharp(s0, mcf, 5e-4)
 
 
 class TestRedistance:
