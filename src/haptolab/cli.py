@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,39 +60,21 @@ _DEFAULTS = {
     "out": "runs",
 }
 
+# nested config objects and the records they build; their keys are the
+# records' fields
+_RECORDS = {"chi": ChiSpec, "shape": ShapeSpec, "v0": CosineSpec,
+            "m0": CosineSpec}
+
 
 @dataclass
 class RunConfig:
     kind: str
-    raw: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.raw[key]
+    raw: dict
+    study: StudyConfig
 
     def hapto_params(self, eps: float) -> HaptoParams:
         return HaptoParams(eps=eps, lam=self.raw["lam"],
-                           alpha=self.raw["alpha"], chi=self.chi())
-
-    def chi(self) -> ChiSpec:
-        c = self.raw["chi"]
-        coeffs = tuple(c["coeffs"])
-        if not coeffs:
-            coeffs = {"linear": (0.0, 1.0), "constant": (1.0,),
-                      "log1p": (1.0,)}.get(c["variant"], (0.0, 1.0))
-        return ChiSpec(c["variant"], coeffs, c["v_max"])
-
-    def study(self) -> StudyConfig:
-        return StudyConfig(
-            shape=ShapeSpec.from_dict(self.raw["shape"]),
-            v0_spec=CosineSpec.from_dict(self.raw["v0"]),
-            m0_spec=CosineSpec.from_dict(self.raw["m0"]),
-            lam=self.raw["lam"], alpha=self.raw["alpha"], chi=self.chi(),
-            t_end=self.raw["t_end"], n_snapshots=self.raw["n_snapshots"],
-            d0=self.raw["d0"], n_sharp=self.raw["n_sharp"],
-            width=self.raw["width"],
-            smooth_interior=self.raw["smooth_interior"],
-            prep_shift=self.raw["prep_shift"],
-        )
+                           alpha=self.raw["alpha"], chi=self.study.chi)
 
 
 def normalize_config(data: dict) -> dict:
@@ -104,9 +86,19 @@ def normalize_config(data: dict) -> dict:
         raise ConfigError(
             f"kind must be one of {', '.join(KINDS)}, got {merged['kind']!r}"
         )
-    for key in ("eps", "lam", "alpha", "t_end", "d0"):
+    for key, record in _RECORDS.items():
+        if not isinstance(merged[key], dict):
+            raise ConfigError(f"{key} must be a JSON object")
+        unknown = sorted(set(merged[key]) - {f.name for f in fields(record)})
+        if unknown:
+            raise ConfigError(f"unknown {key} keys: {', '.join(unknown)}")
+    positive = ("eps", "lam", "alpha", "t_end", "d0") + (
+        () if merged["width"] is None else ("width",))
+    for key in positive:
         if not (isinstance(merged[key], (int, float)) and merged[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
+    if not (isinstance(merged["n_sharp"], int) and merged["n_sharp"] >= 8):
+        raise ConfigError("n_sharp must be an integer of at least 8")
     if merged["kind"] == "compare" and (
             merged["chi"].get("variant") != "constant"
             or merged["shape"].get("kind", "circle") != "circle"):
@@ -134,8 +126,23 @@ def parse_config(path) -> RunConfig:
         ) from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    merged = normalize_config(data)
-    return RunConfig(kind=merged["kind"], raw=merged)
+    raw = normalize_config(data)
+    # the run's records, built once; a value they reject is a config error
+    try:
+        study = StudyConfig(
+            shape=ShapeSpec.from_dict(raw["shape"]),
+            v0_spec=CosineSpec.from_dict(raw["v0"]),
+            m0_spec=CosineSpec.from_dict(raw["m0"]),
+            lam=raw["lam"], alpha=raw["alpha"],
+            chi=ChiSpec.from_dict(raw["chi"]),
+            t_end=raw["t_end"], n_snapshots=raw["n_snapshots"],
+            d0=raw["d0"], n_sharp=raw["n_sharp"], width=raw["width"],
+            smooth_interior=raw["smooth_interior"],
+            prep_shift=raw["prep_shift"],
+        )
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(kind=raw["kind"], raw=raw, study=study)
 
 
 def _fmt(x) -> str:
@@ -172,7 +179,7 @@ def _run_profile(cfg: RunConfig, out: Path):
 
 
 def _run_diffuse(cfg: RunConfig, out: Path):
-    snaps, _ = diffuse_run(cfg.study(), cfg.raw["eps"])
+    snaps, _ = diffuse_run(cfg.study, cfg.raw["eps"])
     rows = []
     for i, s in enumerate(snaps):
         write_snapshot(out / f"u_{i:03d}.csv", s.u, time=s.t, name="u")
@@ -183,8 +190,7 @@ def _run_diffuse(cfg: RunConfig, out: Path):
 
 
 def _run_sharp(cfg: RunConfig, out: Path):
-    study = cfg.study()
-    snaps = sharp_reference(study, cfg.hapto_params(cfg.raw["eps"]))
+    snaps = sharp_reference(cfg.study, cfg.hapto_params(cfg.raw["eps"]))
     rows = []
     for i, s in enumerate(snaps):
         curve = extract_level_curve(s.phi, 0.0)
@@ -195,9 +201,8 @@ def _run_sharp(cfg: RunConfig, out: Path):
 
 def _run_compare(cfg: RunConfig, out: Path):
     """Sharp circle under constant chi against the exact shrinking radius."""
-    study = cfg.study()
-    r0 = study.shape.r0
-    snaps = sharp_reference(study, cfg.hapto_params(cfg.raw["eps"]))
+    r0 = cfg.study.shape.r0
+    snaps = sharp_reference(cfg.study, cfg.hapto_params(cfg.raw["eps"]))
     rows = []
     for s in snaps:
         curve = extract_level_curve(s.phi, 0.0)
@@ -211,7 +216,7 @@ def _run_compare(cfg: RunConfig, out: Path):
 def _run_generation(cfg: RunConfig, out: Path) -> bool:
     eps = cfg.raw["eps"]
     t_star = generation_time(eps)
-    snaps, _ = diffuse_run(cfg.study(), eps, extra_times=(t_star,))
+    snaps, _ = diffuse_run(cfg.study, eps, extra_times=(t_star,))
     u0 = snaps[0].u
     rep = check_generation(snaps, u0, eps, cfg.raw["eta"], cfg.raw["M0"])
     (out / "generation.json").write_text(rep.to_json() + "\n")
@@ -219,7 +224,7 @@ def _run_generation(cfg: RunConfig, out: Path) -> bool:
 
 
 def _run_convergence(cfg: RunConfig, out: Path):
-    rec = convergence_study(cfg.study(), cfg.raw["eps_list"])
+    rec = convergence_study(cfg.study, cfg.raw["eps_list"])
     (out / "convergence.json").write_text(rec.to_json() + "\n")
     rows = []
     for eps, dist, vg, mg in zip(rec.eps_list, rec.interface_distance,

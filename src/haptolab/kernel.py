@@ -153,24 +153,15 @@ class ChiSpec:
         der = np.polynomial.polynomial.polyder(self.coeffs)
         return np.polynomial.polynomial.polyval(v, der)
 
-    def chi_second(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.variant in ("constant", "linear"):
-            return np.zeros_like(v)
-        if self.variant == "log1p":
-            return -self.coeffs[0] / (1.0 + v) ** 2
-        der2 = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return np.polynomial.polynomial.polyval(v, der2)
-
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "coeffs": list(self.coeffs),
-                "v_max": self.v_max}
-
     @classmethod
     def from_dict(cls, d: dict) -> "ChiSpec":
-        return cls(d.get("variant", "linear"),
-                   tuple(d.get("coeffs", (0.0, 1.0))),
-                   float(d.get("v_max", 10.0)))
+        """Missing or empty coeffs take the variant's default: chi(v) = v
+        for linear and polynomial, chi = 1 for constant, log1p(v) for
+        log1p."""
+        variant = d.get("variant", "linear")
+        coeffs = tuple(d.get("coeffs", ())) or {
+            "constant": (1.0,), "log1p": (1.0,)}.get(variant, (0.0, 1.0))
+        return cls(variant, coeffs, float(d.get("v_max", 10.0)))
 
 
 # --- envelope constants ---------------------------------------------------

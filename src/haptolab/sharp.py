@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .curves import (
     InterfaceCurve,
@@ -27,7 +26,13 @@ from .errors import (
     InterfaceExtinct,
     InvalidCurveError,
 )
-from .grid import Grid, ScalarField, VectorField, _pad_mirror
+from .grid import (
+    Grid,
+    ScalarField,
+    VectorField,
+    _pad_mirror,
+    gradient_centered,
+)
 
 
 @dataclass
@@ -46,10 +51,6 @@ class SharpState:
 
     def interface(self) -> InterfaceCurve:
         return extract_level_curve(self.phi, 0.0)
-
-    def indicator(self) -> ScalarField:
-        return ScalarField(self.phi.grid,
-                           (self.phi.values < 0).astype(float))
 
 
 def signed_distance_to_loop(curve: InterfaceCurve, grid: Grid) -> ScalarField:
@@ -166,8 +167,21 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float,
     return out
 
 
+def _grow(mask: np.ndarray, rings: int) -> np.ndarray:
+    """mask widened by `rings` rings of 4-neighbours, nothing beyond the
+    grid's edge (scipy's binary_dilation with its default cross)."""
+    for _ in range(rings):
+        out = mask.copy()
+        out[1:, :] |= mask[:-1, :]
+        out[:-1, :] |= mask[1:, :]
+        out[:, 1:] |= mask[:, :-1]
+        out[:, :-1] |= mask[:, 1:]
+        mask = out
+    return mask
+
+
 def front_cells(phi: np.ndarray, widen: int = 0) -> np.ndarray:
-    """Cells adjacent to a sign change of phi, optionally dilated.
+    """Cells adjacent to a sign change of phi, widened by `widen` rings.
 
     Classifying front cells by |phi| alone misfires once interior level
     sets extinguish: the capped curvature flow leaves a slowly rising
@@ -182,9 +196,7 @@ def front_cells(phi: np.ndarray, widen: int = 0) -> np.ndarray:
     mask[:-1, :] |= cross_x
     mask[:, 1:] |= cross_y
     mask[:, :-1] |= cross_y
-    if widen:
-        mask = binary_dilation(mask, iterations=widen)
-    return mask
+    return _grow(mask, widen)
 
 
 def redistance(s: SharpState) -> SharpState:
@@ -206,11 +218,8 @@ def redistance(s: SharpState) -> SharpState:
             f"zero level set vanished at t = {s.t:.6g}"
         ) from exc
 
-    h = grid.h
-    p = _pad_mirror(phi)
-    gx = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2 * h)
-    gy = (p[1:-1, 2:] - p[1:-1, :-2]) / (2 * h)
-    gmag = np.clip(np.hypot(gx, gy), 0.25, 4.0)
+    g = gradient_centered(s.phi)
+    gmag = np.clip(np.hypot(g.x, g.y), 0.25, 4.0)
 
     near = front_cells(phi, widen=1)
     X, Y = grid.meshgrid()
@@ -228,67 +237,54 @@ def redistance(s: SharpState) -> SharpState:
     return out
 
 
-def _band_gradient_drifted(s: SharpState) -> bool:
-    """Whether |grad phi| near the zero level has left [0.7, 1.5]. Only
-    there: the front's motion sees stencils within a few cells of it, and
-    drift farther out is harmless."""
-    grid = s.phi.grid
-    band = front_cells(s.phi.values, widen=3)
-    if not np.any(band):
-        return True
-    gx, gy = np.gradient(s.phi.values, grid.h, grid.h)
-    mag = np.hypot(gx, gy)[band]
-    return bool(mag.min() < 0.7 or mag.max() > 1.5)
-
-
-def _wall_distance(grid: Grid) -> np.ndarray:
-    X, Y = grid.meshgrid()
-    return np.minimum(
-        np.minimum(X - grid.origin[0], grid.xmax - X),
-        np.minimum(Y - grid.origin[1], grid.ymax - Y),
-    )
-
-
-def _check_front(s: SharpState, margin: float, wall_dist: np.ndarray):
-    """Cheap per-step guards: extinction and wall proximity, judged from
-    the cells straddling the zero level."""
-    grid = s.phi.grid
-    phi = s.phi.values
-    if phi.min() >= 0 or phi.max() <= 0:
-        raise InterfaceExtinct(f"front vanished by t = {s.t:.6g}")
-    front = front_cells(phi)
-    if not np.any(front):
-        return
-    if float(wall_dist[front].min()) < margin - grid.h:
-        raise BoundaryContactError(
-            f"interface within {margin:.4f} of a wall at t = {s.t:.6g}"
-        )
-
-
 def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
               snapshot_times: tuple[float, ...] = (),
               evolve_fields: bool = True) -> list[SharpState]:
     """Advance to t_end, hitting each snapshot time exactly.
 
-    Redistancing is on demand, only when the gradient magnitude near the
-    front leaves [0.7, 1.5]: every redistancing carries an O(h^2) front
-    perturbation, so a fixed cadence with dt ~ h^2 would accumulate an O(1)
-    bias. Raises BoundaryContactError if the front comes closer to a wall
-    than 4 d0, InterfaceExtinct if it vanishes.
+    After each step one pass over phi finds the front cells. It raises
+    InterfaceExtinct if there are none, and BoundaryContactError if one
+    comes closer to a wall than 4 d0. Between the two it redistances, on
+    demand only, when |grad phi| within three cells of the front leaves
+    [0.7, 1.5]: every redistancing carries an O(h^2) front perturbation,
+    so a fixed cadence with dt ~ h^2 would accumulate an O(1) bias, and
+    drift farther from the front is harmless. s0 itself is checked, not
+    redistanced.
     """
+    grid = s0.phi.grid
     margin = 4 * s0.d0
-    wall_dist = _wall_distance(s0.phi.grid)
-    _check_front(s0, margin, wall_dist)
+    X, Y = grid.meshgrid()
+    near_wall = np.minimum(
+        np.minimum(X - grid.origin[0], grid.xmax - X),
+        np.minimum(Y - grid.origin[1], grid.ymax - Y),
+    ) < margin - grid.h
     chi_off = p.chi.variant == "constant"
+
+    def front_pass(s: SharpState, fix_drift: bool) -> SharpState:
+        phi = s.phi.values
+        if phi.min() >= 0 or phi.max() <= 0:
+            raise InterfaceExtinct(f"front vanished by t = {s.t:.6g}")
+        front = front_cells(phi)
+        if fix_drift:
+            g = gradient_centered(s.phi)
+            band = _grow(front, 3)
+            mag = np.hypot(g.x[band], g.y[band])
+            if mag.min() < 0.7 or mag.max() > 1.5:
+                s = redistance(s)
+                front = front_cells(s.phi.values)
+        if np.any(near_wall[front]):
+            raise BoundaryContactError(
+                f"interface within {margin:.4f} of a wall at t = {s.t:.6g}"
+            )
+        return s
+
+    front_pass(s0, fix_drift=False)
 
     def advance(s: SharpState, mark: float) -> SharpState:
         w = None if chi_off else chi_gradient(s.v, p.chi)
         w_max = 0.0 if w is None else w.max_norm()
-        dt = min(sharp_dt_max(s.phi.grid, w_max), mark - s.t)
+        dt = min(sharp_dt_max(grid, w_max), mark - s.t)
         s = step_sharp(s, p, dt, w, evolve_fields=evolve_fields)
-        if _band_gradient_drifted(s):
-            s = redistance(s)
-        _check_front(s, margin, wall_dist)
-        return s
+        return front_pass(s, fix_drift=True)
 
     return march(s0, t_end, snapshot_times, advance)

@@ -7,6 +7,7 @@ import pytest
 
 from haptolab.cli import main, normalize_config, parse_config, run_experiment
 from haptolab.errors import ConfigError
+from haptolab.kernel import ChiSpec
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -131,6 +132,35 @@ class TestMain:
                          "--out", str(tmp_path / f"run{i}")])
             assert code == 2
             assert "constant chi" in capsys.readouterr().err
+
+    def test_chi_variant_alone_takes_defaults(self, tmp_path):
+        # coeffs and v_max left out of the chi object take the variant's
+        # defaults
+        path = write_config(tmp_path, kind="sharp",
+                            chi={"variant": "constant"}, t_end=1e-4,
+                            n_sharp=32)
+        code = main(["simulate-sharp", "--config", str(path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert parse_config(path).study.chi == ChiSpec.constant()
+
+    @pytest.mark.parametrize("extra", [
+        {"kind": "sharp", "shape": {"kind": "circle", "radius": 0.3}},
+        {"kind": "sharp", "shape": {"kind": "blob"}},
+        {"kind": "sharp", "n_sharp": 4},
+        {"kind": "diffuse", "eps": 0.2, "width": -1},
+    ], ids=["unknown-shape-key", "unknown-shape-kind", "tiny-n_sharp",
+            "negative-width"])
+    def test_exit_two_on_invalid_nested_or_value(self, tmp_path, capsys,
+                                                  extra):
+        path = write_config(tmp_path, **{"t_end": 1e-4, "n_snapshots": 1,
+                                         "n_sharp": 32, **extra})
+        command = {"sharp": "simulate-sharp",
+                   "diffuse": "simulate-diffuse"}[extra["kind"]]
+        code = main([command, "--config", str(path),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_exit_four_on_failed_assertion(self, tmp_path, capsys):
         # an absurdly small M0 marks interior points that cannot have

@@ -6,6 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import binary_dilation
 
 from haptolab.curves import circle_polyline, extract_level_curve
 from haptolab.diffuse import HaptoParams
@@ -19,7 +23,9 @@ from haptolab.kernel import ChiSpec
 from haptolab.sharp import (
     SharpState,
     _clamp,
+    _grow,
     curvature_term,
+    front_cells,
     init_levelset,
     redistance,
     run_sharp,
@@ -158,6 +164,15 @@ class TestMarch:
             run_sharp(s0, mcf, 5e-4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(mask=arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))),
+       rings=st.integers(1, 4))
+def test_grow_matches_binary_dilation(mask, rings):
+    # random masks reach every edge; scipy's default cross, zero border
+    np.testing.assert_array_equal(
+        _grow(mask, rings), binary_dilation(mask, iterations=rings))
+
+
 class TestRedistance:
     def test_idempotent_on_signed_distance(self):
         s = circle_state(n=128, r=0.25)
@@ -192,6 +207,38 @@ class TestRedistance:
         for d in dists:
             near = np.abs(d) < 0.08
             assert np.abs(r.phi.values - phi.values)[near].max() <= 1e-3
+
+    def test_run_redistances_drift_in_first_step(self):
+        # phi scaled by 2 leaves |grad phi| at 2 on the front: the first
+        # step's pass redistances it, and s0 itself is only checked
+        s0 = circle_state(n=128, r=0.25)
+        s0.phi = ScalarField(s0.phi.grid, 2.0 * s0.phi.values)
+        scaled = s0.phi.values.copy()
+        h = s0.phi.grid.h
+        snaps = run_sharp(s0, mcf, h**2 / 6)
+        np.testing.assert_array_equal(snaps[0].phi.values, scaled)
+        np.testing.assert_array_equal(s0.phi.values, scaled)
+        phi = snaps[-1].phi.values
+        gx, gy = np.gradient(phi, h)
+        mag = np.hypot(gx, gy)[front_cells(phi)]
+        assert 0.9 < mag.min() and mag.max() < 1.1
+        assert abs(fitted_radius(snaps[-1].interface()) - 0.25) < 0.1 * h
+
+    def test_wall_ring_uses_one_sided_gradient(self):
+        # on a coarse grid a front 0.15 from the walls passes the wall guard
+        # (4 d0 < 2 h) and its kept cells reach the wall ring, where
+        # |grad phi| comes from one-sided differences
+        s = circle_state(n=8, r=0.35)
+        h = s.phi.grid.h
+        phi = s.phi.values
+        gx, gy = np.gradient(phi, h)
+        kept = front_cells(phi, widen=1)
+        ring = np.ones_like(kept)
+        ring[1:-1, 1:-1] = False
+        assert np.any(kept & ring)
+        expected = _clamp(phi / np.clip(np.hypot(gx, gy), 0.25, 4.0), s.d0)
+        np.testing.assert_array_equal(redistance(s).phi.values[kept],
+                                      expected[kept])
 
     def test_output_clamped(self):
         s = circle_state(n=64, r=0.2, d0=0.03)
