@@ -9,7 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import extract_level_curve, one_sided_sup_distance
+from .curves import (
+    extract_level_curve,
+    one_sided_sup_distance,
+    signed_distance_to_loop,
+)
 from .diffuse import (
     CosineSpec,
     DiffuseState,
@@ -34,7 +38,7 @@ from .kernel import (
     f_bistable,
     standing_profile,
 )
-from .sharp import _clamp, init_levelset, run_sharp, signed_distance_to_loop
+from .sharp import _clamp, init_levelset, run_sharp
 
 MU = 0.25  # linearization rate of the reaction at the unstable root
 

@@ -92,22 +92,27 @@ def normalize_config(data: dict) -> dict:
         unknown = sorted(set(merged[key]) - {f.name for f in fields(record)})
         if unknown:
             raise ConfigError(f"unknown {key} keys: {', '.join(unknown)}")
-    positive = ("eps", "lam", "alpha", "t_end", "d0") + (
+    positive = ("eps", "lam", "alpha", "t_end", "d0", "M0", "eta") + (
         () if merged["width"] is None else ("width",))
     for key in positive:
         if not (isinstance(merged[key], (int, float)) and merged[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
-    if not (isinstance(merged["n_sharp"], int) and merged["n_sharp"] >= 8):
-        raise ConfigError("n_sharp must be an integer of at least 8")
+    if merged["eta"] >= 0.25:
+        raise ConfigError("eta must lie in (0, 1/4)")
+    for key, least in (("n_sharp", 8), ("n_snapshots", 1)):
+        if not (isinstance(merged[key], int) and merged[key] >= least):
+            raise ConfigError(f"{key} must be an integer of at least {least}")
     if merged["kind"] == "compare" and (
             merged["chi"].get("variant") != "constant"
             or merged["shape"].get("kind", "circle") != "circle"):
         raise ConfigError("compare scores against the curvature-flow radius "
                           "law, so it needs a circle and constant chi")
     if merged["kind"] == "convergence":
-        if not merged["eps_list"]:
-            raise ConfigError("convergence runs need eps_list")
         lst = merged["eps_list"]
+        if not (isinstance(lst, list) and lst and all(
+                isinstance(e, (int, float)) and e > 0 for e in lst)):
+            raise ConfigError("convergence runs need eps_list, a list of "
+                              "positive numbers")
         if any(b >= a for a, b in zip(lst, lst[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
     return merged

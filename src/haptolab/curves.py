@@ -1,4 +1,5 @@
-"""Level-curve extraction and polyline distance metrics.
+"""Front geometry: level-curve extraction, the even-odd inside test, the
+signed distance to a polyline, and polyline distance metrics.
 
 Curves are ordered closed polylines stored without repeating the first
 vertex; segment i of a loop runs from its vertex i to vertex (i+1) % len.
@@ -65,28 +66,22 @@ class InterfaceCurve:
         return np.concatenate(out)
 
     def is_simple(self) -> bool:
-        """Segment-pair intersection test (skipping neighbors)."""
+        """True when no two segments, of any loops, cross inside both.
+        Crossing segments have midpoints within (L_i + L_j)/2 <= L_max, so
+        only the midpoint pairs a KD-tree finds within L_max are tested; a
+        shared vertex gives t or u exactly 0 or 1, which fails the test."""
         a, b = self.segments()
-        n = len(a)
         d = b - a
-        for i in range(n):
-            # vectorized orientation tests of segment i against j > i + 1
-            j = np.arange(i + 2, n if i > 0 else n - 1)
-            if len(j) == 0:
-                continue
-            r = d[i]
-            s = d[j]
-            qp = a[j] - a[i]
-            denom = r[0] * s[:, 1] - r[1] * s[:, 0]
-            u_num = qp[:, 0] * r[1] - qp[:, 1] * r[0]
-            t_num = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = t_num / denom
-                u = u_num / denom
-            hit = (np.abs(denom) > 1e-300) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
-            if np.any(hit):
-                return False
-        return True
+        L_max = np.sqrt(np.sum(d * d, axis=1).max())
+        i, j = cKDTree(0.5 * (a + b)).query_pairs(
+            L_max * (1 + 1e-9), output_type="ndarray").T
+        r, s, qp = d[i], d[j], a[j] - a[i]
+        denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
+            u = (qp[:, 0] * r[:, 1] - qp[:, 1] * r[:, 0]) / denom
+        return not np.any((np.abs(denom) > 1e-300) & (t > 0) & (t < 1)
+                          & (u > 0) & (u < 1))
 
 
 def circle_polyline(center, radius: float, n: int = 512,
@@ -160,11 +155,10 @@ def extract_level_curve(f: ScalarField, level: float) -> InterfaceCurve:
     for start in adjacency:
         if start in seen:
             continue
+        seen.add(start)
         if len(adjacency[start]) != 2:
-            seen.add(start)
             continue
         loop = [start]
-        seen.add(start)
         prev, cur = None, start
         while True:
             nbrs = adjacency[cur]
@@ -231,11 +225,9 @@ def distance_to_curve(points: np.ndarray,
     a, b = curve.segments()
     n = len(a)
     # prev[i]: the segment ending at vertex i, within the loop of vertex i
+    ends = np.cumsum([len(p) for p in (curve.points, *curve.extras)])
     prev = np.arange(-1, n - 1)
-    start = 0
-    for loop in (curve.points, *curve.extras):
-        prev[start] = start + len(loop) - 1
-        start += len(loop)
+    prev[np.r_[0, ends[:-1]]] = ends - 1
     points = np.atleast_2d(np.asarray(points, dtype=float))
     d = b - a
     L2 = np.maximum(np.sum(d * d, axis=1), 1e-300)
@@ -268,23 +260,36 @@ def distance_to_curve(points: np.ndarray,
 
 def crossing_number_inside(points: np.ndarray,
                            curve: InterfaceCurve) -> np.ndarray:
-    """Even-odd inside test by counting crossings of a +x ray."""
+    """Even-odd inside test over every loop: a point is inside when the +x
+    ray from it crosses an odd number of segments. For each distinct y, the
+    crossing abscissae of the straddling segments are sorted once, and a
+    binary search counts those strictly right of each point of that row."""
     a, b = curve.segments()
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    ys, row, count = np.unique(points[:, 1], return_inverse=True,
+                               return_counts=True)
+    rows = np.split(np.argsort(row, kind="stable"), np.cumsum(count)[:-1])
     inside = np.zeros(len(points), dtype=bool)
-    chunk = max(1, 2_000_000 // max(len(a), 1))
-    ay, by = a[:, 1], b[:, 1]
-    for s in range(0, len(points), chunk):
-        px = points[s:s + chunk, 0][:, None]
-        py = points[s:s + chunk, 1][:, None]
-        straddle = (ay[None, :] <= py) != (by[None, :] <= py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = a[:, 0][None, :] + (py - ay[None, :]) / (
-                by[None, :] - ay[None, :]
-            ) * (b[:, 0] - a[:, 0])[None, :]
-        hits = straddle & (xint > px)
-        inside[s:s + chunk] = (hits.sum(axis=1) % 2).astype(bool)
+    for py, idx in zip(ys, rows):
+        k = (a[:, 1] <= py) != (b[:, 1] <= py)
+        xint = np.sort(a[k, 0] + (py - a[k, 1]) / (b[k, 1] - a[k, 1])
+                       * (b[k, 0] - a[k, 0]))
+        right = len(xint) - np.searchsorted(xint, points[idx, 0], side="right")
+        inside[idx] = right % 2 == 1
     return inside
+
+
+def signed_distance_to_loop(curve: InterfaceCurve, grid: Grid) -> ScalarField:
+    """Exact signed distance from cell centers to the loops of a simple
+    closed polyline, negative inside: `distance_to_curve` for the size,
+    `crossing_number_inside` (even-odd over every loop) for the sign."""
+    if not curve.is_simple():
+        raise InvalidCurveError("interface polyline self-intersects")
+    X, Y = grid.meshgrid()
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    d = distance_to_curve(pts, curve)
+    inside = crossing_number_inside(pts, curve)
+    return ScalarField(grid, np.where(inside, -d, d).reshape(X.shape))
 
 
 def one_sided_sup_distance(a: InterfaceCurve, b: InterfaceCurve,

@@ -14,9 +14,9 @@ import numpy as np
 
 from .curves import (
     InterfaceCurve,
-    crossing_number_inside,
     distance_to_curve,
     extract_level_curve,
+    signed_distance_to_loop,
 )
 from .diffuse import HaptoParams, advance_vm, chi_gradient, march
 from .errors import (
@@ -24,7 +24,6 @@ from .errors import (
     DegenerateLevelSetError,
     EmptyLevelSetError,
     InterfaceExtinct,
-    InvalidCurveError,
 )
 from .grid import (
     Grid,
@@ -51,18 +50,6 @@ class SharpState:
 
     def interface(self) -> InterfaceCurve:
         return extract_level_curve(self.phi, 0.0)
-
-
-def signed_distance_to_loop(curve: InterfaceCurve, grid: Grid) -> ScalarField:
-    """Exact signed distance from cell centers to the loops of a simple
-    closed polyline, negative inside (even-odd rule over every loop)."""
-    if not curve.is_simple():
-        raise InvalidCurveError("interface polyline self-intersects")
-    X, Y = grid.meshgrid()
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    d = distance_to_curve(pts, curve)
-    inside = crossing_number_inside(pts, curve)
-    return ScalarField(grid, np.where(inside, -d, d).reshape(X.shape))
 
 
 def _clamp(values: np.ndarray, d0: float) -> np.ndarray:

@@ -149,14 +149,22 @@ class TestMain:
         {"kind": "sharp", "shape": {"kind": "blob"}},
         {"kind": "sharp", "n_sharp": 4},
         {"kind": "diffuse", "eps": 0.2, "width": -1},
+        {"kind": "generation", "eps": 0.2, "eta": -1},
+        {"kind": "generation", "eps": 0.2, "M0": -3},
+        {"kind": "sharp", "shape": {"center": "ab"}},
+        {"kind": "sharp", "shape": {"center": [0.5]}},
+        {"kind": "sharp", "n_snapshots": 2.5},
+        {"kind": "convergence", "eps_list": [0.1, "a"]},
     ], ids=["unknown-shape-key", "unknown-shape-kind", "tiny-n_sharp",
-            "negative-width"])
+            "negative-width", "negative-eta", "negative-M0", "center-string",
+            "center-one-number", "fractional-n_snapshots", "eps_list-string"])
     def test_exit_two_on_invalid_nested_or_value(self, tmp_path, capsys,
                                                   extra):
         path = write_config(tmp_path, **{"t_end": 1e-4, "n_snapshots": 1,
                                          "n_sharp": 32, **extra})
-        command = {"sharp": "simulate-sharp",
-                   "diffuse": "simulate-diffuse"}[extra["kind"]]
+        command = {"sharp": "simulate-sharp", "diffuse": "simulate-diffuse",
+                   "generation": "generation",
+                   "convergence": "convergence"}[extra["kind"]]
         code = main([command, "--config", str(path),
                      "--out", str(tmp_path / "run")])
         assert code == 2

@@ -221,3 +221,83 @@ def test_area_and_roundtrip(tmp_path):
     data = np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1)
     assert np.allclose(data[0], data[-1])
     assert len(data) == len(c.points) + 1
+
+
+def inside_oracle(points, curve):
+    """Even-odd count of every point against every segment, with the
+    crossing abscissa computed in the scan's order of operations."""
+    a, b = curve.segments()
+    px, py = points[:, :1], points[:, 1:]
+    ay, by = a[:, 1], b[:, 1]
+    straddle = (ay <= py) != (by <= py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = a[:, 0] + (py - ay) / (by - ay) * (b[:, 0] - a[:, 0])
+    return (straddle & (xint > px)).sum(axis=1) % 2 == 1
+
+
+def simple_oracle(curve):
+    """The orientation test on every pair of segments."""
+    a, b = curve.segments()
+    d = b - a
+    for i in range(len(a)):
+        r, s = d[i], d[i + 1:]
+        qp = a[i + 1:] - a[i]
+        denom = r[0] * s[:, 1] - r[1] * s[:, 0]
+        u_num = qp[:, 0] * r[1] - qp[:, 1] * r[0]
+        t_num = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t, u = t_num / denom, u_num / denom
+        if np.any((np.abs(denom) > 1e-300) & (t > 0) & (t < 1)
+                  & (u > 0) & (u < 1)):
+            return False
+    return True
+
+
+@st.composite
+def uneven_loop(draw, sort_angles=True):
+    """A loop of 3 to 40 vertices at uneven angles and radii about a random
+    center; with unsorted angles it usually crosses itself."""
+    fractions = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                              min_size=3, max_size=40, unique=True))
+    th = 2 * np.pi * (np.sort(fractions) if sort_angles
+                      else np.array(fractions))
+    r = np.array(draw(st.lists(st.floats(0.05, 0.3), min_size=len(th),
+                               max_size=len(th))))
+    cx, cy = draw(st.floats(0.3, 0.7)), draw(st.floats(0.3, 0.7))
+    return np.stack([cx + r * np.cos(th), cy + r * np.sin(th)], axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(loops=st.lists(uneven_loop(), min_size=1, max_size=2),
+       n=st.integers(8, 48),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10))
+def test_inside_scan_matches_all_pairs_oracle(loops, n, xs):
+    # cell centers share rows; points at vertex heights meet segment ends
+    c = InterfaceCurve(loops[0], extras=loops[1:])
+    X, Y = Grid.unit_square(n).meshgrid()
+    vy = np.concatenate(loops)[:, 1]
+    pts = np.concatenate([
+        np.stack([X.ravel(), Y.ravel()], axis=1),
+        np.stack(np.broadcast_arrays(np.array(xs)[:, None], vy), axis=-1)
+        .reshape(-1, 2),
+        np.concatenate(loops),
+    ])
+    assert np.array_equal(crossing_number_inside(pts, c),
+                          inside_oracle(pts, c))
+
+
+# loop 2 crosses the last segment of loop 1 with its first segment and the
+# first segment of loop 1 with its last: the two pairs at adjacent indices
+# of the concatenated segments that are no neighbours
+ACROSS_THE_SEAM = [[(0.2, 0.2), (0.6, 0.2), (0.6, 0.6), (0.2, 0.6)],
+                   [(0.19, 0.0), (0.21, 0.5), (0.4, 0.55), (0.5, 0.5)]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(loops=st.lists(st.one_of(uneven_loop(), uneven_loop(False)),
+                      min_size=1, max_size=2))
+@example(loops=[np.array(p) for p in ACROSS_THE_SEAM])
+def test_is_simple_matches_all_pairs_oracle(loops):
+    # one loop, star-shaped or self-crossing; two loops apart or crossing
+    c = InterfaceCurve(loops[0], extras=loops[1:])
+    assert c.is_simple() == simple_oracle(c)

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from haptolab.curves import distance_to_curve
 from haptolab.diffuse import (
     CosineSpec,
     DiffuseState,
@@ -174,6 +176,23 @@ class TestInitialData:
         with pytest.raises(InvalidInitialDataError, match="C2 proxy"):
             make_initial_data(shape, 0.04, CosineSpec(1.0), CosineSpec(0.5),
                               grid, d0=0.03, c2_bound=1.0)
+
+    @pytest.mark.parametrize("shape, n", [
+        (ShapeSpec("star", (0.5, 0.5), 0.22, amp=0.04, k=5), 64),
+        (ShapeSpec("star", (0.4, 0.6), 0.2, 0.03, 4), 100),
+    ])
+    def test_star_datum_matches_polar_reference(self, shape, n):
+        # the star's sign from the polar test r < r(theta) about its center
+        grid = Grid.unit_square(n)
+        X, Y = grid.meshgrid()
+        x, y = X.ravel() - shape.center[0], Y.ravel() - shape.center[1]
+        d = distance_to_curve(np.stack([X.ravel(), Y.ravel()], axis=1),
+                              shape.polyline(4096))
+        inside = np.hypot(x, y) < shape.radius(np.arctan2(y, x))
+        sd = np.where(inside, -d, d).reshape(X.shape)
+        data = make_initial_data(shape, 0.04, CosineSpec(1.0),
+                                 CosineSpec(0.5), grid)
+        np.testing.assert_array_equal(data.u0.values, expit(-sd / 0.04))
 
     def test_roundtrip_dicts(self):
         s = ShapeSpec("star", (0.4, 0.6), 0.2, 0.03, 4)

@@ -6,8 +6,9 @@ leaves them bitwise identical.
 Run from the root of a source checkout; haptolab is imported from its
 `src/`. For each benchmark workload (bench/workloads.py, used as is) it
 runs one first solve at seed 1, as the benchmark does, and hashes every
-snapshot's t and fields: phi or u, then v, m and int_m. It then runs the CLI's
-`simulate-sharp` and `compare` on small configs and hashes every artifact
+snapshot's t and fields: phi or u, then v, m and int_m. It then runs the
+CLI's `simulate-sharp` and `compare` on small circle configs and
+`simulate-diffuse` and `simulate-sharp` on a star, and hashes every artifact
 they write except manifest.json, which holds the wall time. Two checkouts
 whose outputs agree print the same lines.
 """
@@ -26,6 +27,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+STAR = {"kind": "star", "center": [0.48, 0.53], "r0": 0.24, "amp": 0.04,
+        "k": 5}
 CLI_CONFIGS = {
     "simulate-sharp": {"kind": "sharp", "eps": 0.05, "t_end": 0.004,
                        "n_snapshots": 2, "n_sharp": 64,
@@ -34,6 +37,10 @@ CLI_CONFIGS = {
                 "n_snapshots": 2, "n_sharp": 128,
                 "chi": {"variant": "constant", "coeffs": [],
                         "v_max": 10.0}},
+    "simulate-diffuse star": {"kind": "diffuse", "eps": 0.1, "t_end": 0.002,
+                              "n_snapshots": 2, "shape": STAR},
+    "simulate-sharp star": {"kind": "sharp", "eps": 0.05, "t_end": 0.002,
+                            "n_snapshots": 2, "n_sharp": 64, "shape": STAR},
 }
 
 
@@ -53,8 +60,9 @@ def workload_digest(name: str) -> str:
     return state_digest(wl.solve(wl.setup(), first=True))
 
 
-def cli_digests(command: str, config: dict) -> list[tuple[str, str]]:
+def cli_digests(name: str, config: dict) -> list[tuple[str, str]]:
     from haptolab.cli import main
+    command = name.split()[0]
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -71,9 +79,9 @@ def main() -> None:
     from workloads import WORKLOADS
     for name in WORKLOADS:
         print(f"{name} seed 1: {workload_digest(name)}", flush=True)
-    for command, config in CLI_CONFIGS.items():
-        for fname, digest in cli_digests(command, config):
-            print(f"{command} {fname}: {digest}", flush=True)
+    for name, config in CLI_CONFIGS.items():
+        for fname, digest in cli_digests(name, config):
+            print(f"{name} {fname}: {digest}", flush=True)
 
 
 if __name__ == "__main__":
