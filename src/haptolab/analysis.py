@@ -19,6 +19,7 @@ from .diffuse import (
     DiffuseState,
     HaptoParams,
     ShapeSpec,
+    chi_gradient,
     initial_state,
     make_initial_data,
     run_diffuse,
@@ -129,14 +130,13 @@ def envelope_fields(d_field: ScalarField, t: float, eps: float,
 def residual_Lv(u: ScalarField, v: ScalarField, u_t: ScalarField,
                 chi: ChiSpec, eps: float) -> ScalarField:
     """Discrete comparison operator u_t - lap u + div(u grad chi(v))
-    - f(u)/eps^2; nonnegative for supersolutions up to mesh slack."""
-    from .diffuse import chi_gradient
-
+    - f(u)/eps^2; nonnegative for supersolutions up to mesh slack. A
+    constant chi has no drift, so the divergence term is left out."""
     w = chi_gradient(v, chi)
-    vals = (u_t.values - laplacian_neumann(u).values
-            + advective_divergence(u, w).values
-            - f_bistable(u.values) / eps**2)
-    return ScalarField(u.grid, vals)
+    vals = u_t.values - laplacian_neumann(u).values
+    if w is not None:
+        vals = vals + advective_divergence(u, w).values
+    return ScalarField(u.grid, vals - f_bistable(u.values) / eps**2)
 
 
 def residual_slack(h: float, dt: float, eps: float) -> float:

@@ -7,6 +7,7 @@ vertex; segment i of a loop runs from its vertex i to vertex (i+1) % len.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -67,14 +68,20 @@ class InterfaceCurve:
 
     def is_simple(self) -> bool:
         """True when no two segments, of any loops, cross inside both.
-        Crossing segments have midpoints within (L_i + L_j)/2 <= L_max, so
-        only the midpoint pairs a KD-tree finds within L_max are tested; a
-        shared vertex gives t or u exactly 0 or 1, which fails the test."""
+        Crossing segments have midpoints within (L_i + L_j)/2 <=
+        max(L_i, L_j), so each midpoint i is paired only with those a
+        KD-tree finds within its own L_i. A shared vertex gives t or u
+        exactly 0 or 1, and a segment paired with itself denom 0, which
+        both fail the test."""
         a, b = self.segments()
         d = b - a
-        L_max = np.sqrt(np.sum(d * d, axis=1).max())
-        i, j = cKDTree(0.5 * (a + b)).query_pairs(
-            L_max * (1 + 1e-9), output_type="ndarray").T
+        mid = 0.5 * (a + b)
+        near = cKDTree(mid).query_ball_point(
+            mid, np.sqrt(np.sum(d * d, axis=1)) * (1 + 1e-9),
+            return_sorted=False)
+        counts = np.fromiter(map(len, near), int, len(near))
+        i = np.repeat(np.arange(len(near)), counts)
+        j = np.fromiter(chain.from_iterable(near), int, counts.sum())
         r, s, qp = d[i], d[j], a[j] - a[i]
         denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -21,7 +21,6 @@ from .errors import InvalidInitialDataError, StabilityViolationError
 from .grid import (
     Grid,
     ScalarField,
-    VectorField,
     advective_divergence,
     gradient_centered,
     helmholtz_solve_neumann,
@@ -60,19 +59,23 @@ class DiffuseState:
                             self.int_m.copy(), self.t, self.v_init)
 
     def check_invariants(self, p: HaptoParams, tol: float = 1e-8):
-        if np.any(self.u.values < -tol) or np.any(self.u.values > p.C0 + tol):
+        """Raise StabilityViolationError, naming the field, t, the worst
+        cell, its value and the bound it broke, when u or m leaves [0, C0],
+        v leaves [0, v_init] or int_m turns negative (beyond tol)."""
+        for name, f, hi in (("u", self.u.values, p.C0),
+                            ("m", self.m.values, p.C0),
+                            ("v", self.v.values, self.v_init.values),
+                            ("int_m", self.int_m.values, np.inf)):
+            if f.min() >= -tol and np.all(f <= hi + tol):
+                continue
+            excess = np.maximum(-f, f - hi)  # distance outside [0, hi]
+            k = np.unravel_index(np.argmax(excess), f.shape)
+            low = f[k] < 0
+            bound = 0.0 if low else np.broadcast_to(hi, f.shape)[k]
             raise StabilityViolationError(
-                f"u outside [0, C0] at t={self.t}: "
-                f"[{self.u.values.min():.3e}, {self.u.values.max():.3e}]; "
-                "reduce dt"
+                f"{name}[{k[0]}, {k[1]}] = {f[k]:.6g} at t = {self.t:.6g}, "
+                f"{'below' if low else 'above'} its bound {bound:.6g}"
             )
-        if np.any(self.m.values < -tol) or np.any(self.m.values > p.C0 + tol):
-            raise StabilityViolationError(f"m outside [0, C0] at t={self.t}")
-        if np.any(self.v.values < -tol) \
-                or np.any(self.v.values > self.v_init.values + tol):
-            raise StabilityViolationError(f"v outside [0, v0] at t={self.t}")
-        if np.any(self.int_m.values < -tol):
-            raise StabilityViolationError("accumulated enzyme integral negative")
 
 
 # --- initial data ---------------------------------------------------------
@@ -168,10 +171,10 @@ class InitialData:
 
 def c2_proxy(f: ScalarField) -> float:
     """Grid shadow of the C^2 norm: sup |f| + sup |grad f| + sup |lap f|."""
-    grad = gradient_centered(f)
+    gx, gy = gradient_centered(f)
     return float(
         np.abs(f.values).max()
-        + np.sqrt(grad.x**2 + grad.y**2).max()
+        + np.sqrt(gx**2 + gy**2).max()
         + np.abs(laplacian_neumann(f).values).max()
     )
 
@@ -267,21 +270,31 @@ def uniform_state(grid: Grid, u: float, v: float, m: float) -> DiffuseState:
 
 # --- stepping -------------------------------------------------------------
 
-def chi_gradient(v: ScalarField, chi: ChiSpec) -> VectorField:
-    """grad chi(v) = chi'(v) grad v (haptotactic drift velocity)."""
-    grad = gradient_centered(v)
+def chi_gradient(v: ScalarField, chi: ChiSpec):
+    """The haptotactic drift grad chi(v) = chi'(v) grad v as (wx, wy), or
+    None for a constant chi, which has no drift. Both solvers skip their
+    advection term, and its dt cap, when the drift is None."""
+    if chi.variant == "constant":
+        return None
+    gx, gy = gradient_centered(v)
     cp = chi.chi_prime(v.values)
-    return VectorField(v.grid, cp * grad.x, cp * grad.y)
+    return cp * gx, cp * gy
 
 
-def dt_max(p: HaptoParams, grid: Grid, w: VectorField) -> float:
-    """Explicit stability bound: diffusion CFL, reaction stiffness,
-    advection CFL for the drift w = chi_gradient(v, p.chi)."""
-    bound = min(grid.h**2 / 8.0, p.eps**2 / 10.0)
-    w_max = w.max_norm()
-    if w_max > 0:
-        bound = min(bound, grid.h / (4.0 * w_max))
-    return bound
+def advection_dt(h: float, w) -> float:
+    """Advection CFL h / (4 max|w|) for the drift w; infinite for no drift
+    (None) or a zero one."""
+    if w is None:
+        return math.inf
+    w_max = float(np.sqrt(w[0]**2 + w[1]**2).max())
+    return h / (4.0 * w_max) if w_max > 0 else math.inf
+
+
+def dt_max(p: HaptoParams, grid: Grid, w) -> float:
+    """Explicit stability bound: diffusion CFL, reaction stiffness and the
+    advection CFL of the drift w = chi_gradient(v, p.chi), which None
+    (constant chi) leaves out."""
+    return min(grid.h**2 / 8.0, p.eps**2 / 10.0, advection_dt(grid.h, w))
 
 
 def _reaction_half_step(u: np.ndarray, p: HaptoParams, half_dt: float
@@ -323,15 +336,17 @@ def advance_vm(v_init: ScalarField, m: ScalarField, int_m: ScalarField,
 
 
 def step_diffuse(s: DiffuseState, p: HaptoParams, dt: float,
-                 w: VectorField) -> DiffuseState:
+                 w) -> DiffuseState:
     """One Strang-split step with the drift w = chi_gradient(s.v, p.chi);
-    t advances by dt."""
+    t advances by dt. With w None (constant chi) u is not advected."""
     grid = s.u.grid
     u = _reaction_half_step(s.u.values, p, 0.5 * dt)
 
     uf = ScalarField(grid, u)
-    u = u + dt * (laplacian_neumann(uf).values
-                  - advective_divergence(uf, w).values)
+    du = laplacian_neumann(uf).values
+    if w is not None:
+        du -= advective_divergence(uf, w).values
+    u = u + dt * du
     v_new, m_new, int_m = advance_vm(s.v_init, s.m, s.int_m, s.u.values,
                                      p, dt)
 

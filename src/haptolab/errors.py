@@ -14,10 +14,8 @@ class SolverFailureError(HaptolabError):
 
 
 class StabilityViolationError(HaptolabError):
-    """A time step produced values outside the a priori bounds.
-
-    Usually cured by a smaller dt.
-    """
+    """A time step produced values outside the a priori bounds; the
+    message names the field, t, the worst cell, its value and the bound."""
 
 
 class InvalidInitialDataError(HaptolabError):

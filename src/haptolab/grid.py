@@ -1,4 +1,4 @@
-"""Uniform square-cell grid, scalar/vector fields and Neumann-aware operators.
+"""Uniform square-cell grid, scalar fields and Neumann-aware operators.
 
 Fields are sampled at cell centers; homogeneous Neumann walls are realized by
 a mirror (even) ghost ring, so the discrete normal difference across every
@@ -86,28 +86,6 @@ class ScalarField:
             raise FloatingPointError(f"{what} contains non-finite values")
 
 
-@dataclass
-class VectorField:
-    grid: Grid
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        shape = (self.grid.nx, self.grid.ny)
-        if self.x.shape != shape or self.y.shape != shape:
-            raise ValueError("component shape does not match grid")
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "VectorField":
-        shape = (grid.nx, grid.ny)
-        return cls(grid, np.zeros(shape), np.zeros(shape))
-
-    def max_norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2).max())
-
-
 def _pad_mirror(values: np.ndarray) -> np.ndarray:
     # ghost cell = adjacent interior cell (even reflection across the wall)
     return np.pad(values, 1, mode="edge")
@@ -123,19 +101,21 @@ def laplacian_neumann(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, lap)
 
 
-def gradient_centered(f: ScalarField) -> VectorField:
-    """Centered differences in the interior, one-sided on the boundary ring."""
-    gx, gy = np.gradient(f.values, f.grid.h, edge_order=1)
-    return VectorField(f.grid, gx, gy)
+def gradient_centered(f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """(df/dx, df/dy): centered differences in the interior, one-sided on
+    the boundary ring."""
+    return np.gradient(f.values, f.grid.h, edge_order=1)
 
 
-def advective_divergence(u: ScalarField, w: VectorField) -> ScalarField:
-    """Conservative upwind divergence of the flux u*w with zero wall flux."""
+def advective_divergence(u: ScalarField, w) -> ScalarField:
+    """Conservative upwind divergence of the flux u*w with zero wall flux;
+    w is a velocity (wx, wy) of two arrays."""
     h = u.grid.h
     uv = u.values
+    wx, wy = w
     # face velocities by averaging; walls excluded (flux 0 there)
-    wfx = 0.5 * (w.x[:-1, :] + w.x[1:, :])
-    wfy = 0.5 * (w.y[:, :-1] + w.y[:, 1:])
+    wfx = 0.5 * (wx[:-1, :] + wx[1:, :])
+    wfy = 0.5 * (wy[:, :-1] + wy[:, 1:])
     ufx = np.where(wfx > 0.0, uv[:-1, :], uv[1:, :])
     ufy = np.where(wfy > 0.0, uv[:, :-1], uv[:, 1:])
     fx = np.zeros((u.grid.nx + 1, u.grid.ny))

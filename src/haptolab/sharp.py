@@ -18,7 +18,13 @@ from .curves import (
     extract_level_curve,
     signed_distance_to_loop,
 )
-from .diffuse import HaptoParams, advance_vm, chi_gradient, march
+from .diffuse import (
+    HaptoParams,
+    advance_vm,
+    advection_dt,
+    chi_gradient,
+    march,
+)
 from .errors import (
     BoundaryContactError,
     DegenerateLevelSetError,
@@ -28,7 +34,6 @@ from .errors import (
 from .grid import (
     Grid,
     ScalarField,
-    VectorField,
     _pad_mirror,
     gradient_centered,
 )
@@ -100,9 +105,10 @@ def curvature_term(phi: ScalarField, band: np.ndarray) -> np.ndarray:
     return out
 
 
-def _upwind_advection(phi: np.ndarray, w: VectorField, h: float,
+def _upwind_advection(phi: np.ndarray, w, h: float,
                       band: np.ndarray) -> np.ndarray:
-    """w . grad phi with first-order upwinding on the band."""
+    """w . grad phi with first-order upwinding on the band; w = (wx, wy)."""
+    wx, wy = w
     p = _pad_mirror(phi)
     dxm = (p[1:-1, 1:-1] - p[:-2, 1:-1]) / h
     dxp = (p[2:, 1:-1] - p[1:-1, 1:-1]) / h
@@ -110,28 +116,20 @@ def _upwind_advection(phi: np.ndarray, w: VectorField, h: float,
     dyp = (p[1:-1, 2:] - p[1:-1, 1:-1]) / h
     out = np.zeros_like(phi)
     out[band] = (
-        np.where(w.x > 0, dxm, dxp)[band] * w.x[band]
-        + np.where(w.y > 0, dym, dyp)[band] * w.y[band]
+        np.where(wx > 0, dxm, dxp)[band] * wx[band]
+        + np.where(wy > 0, dym, dyp)[band] * wy[band]
     )
     return out
 
 
-def sharp_dt_max(grid: Grid, w_max: float) -> float:
-    bound = grid.h**2 / 6.0
-    if w_max > 0:
-        bound = min(bound, grid.h / (4.0 * w_max))
-    return bound
-
-
-def step_sharp(s: SharpState, p: HaptoParams, dt: float,
-               w: VectorField | None,
+def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
                evolve_fields: bool = True) -> SharpState:
     """One explicit step of the interface law plus the (v, m) subsystem.
 
-    w is the drift chi_gradient(s.v, p.chi), or None where chi is constant
-    and there is none. With evolve_fields=False the fields are frozen,
-    which is exact for the haptotaxis-off oracle where they never feed back
-    on the front.
+    w is the drift chi_gradient(s.v, p.chi); None (constant chi) means no
+    drift, and the front moves by curvature alone. With evolve_fields=False
+    the fields are frozen, which is exact for the haptotaxis-off oracle
+    where they never feed back on the front.
     """
     grid = s.phi.grid
     phi = s.phi.values
@@ -205,8 +203,8 @@ def redistance(s: SharpState) -> SharpState:
             f"zero level set vanished at t = {s.t:.6g}"
         ) from exc
 
-    g = gradient_centered(s.phi)
-    gmag = np.clip(np.hypot(g.x, g.y), 0.25, 4.0)
+    gx, gy = gradient_centered(s.phi)
+    gmag = np.clip(np.hypot(gx, gy), 0.25, 4.0)
 
     near = front_cells(phi, widen=1)
     X, Y = grid.meshgrid()
@@ -245,7 +243,6 @@ def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
         np.minimum(X - grid.origin[0], grid.xmax - X),
         np.minimum(Y - grid.origin[1], grid.ymax - Y),
     ) < margin - grid.h
-    chi_off = p.chi.variant == "constant"
 
     def front_pass(s: SharpState, fix_drift: bool) -> SharpState:
         phi = s.phi.values
@@ -253,9 +250,9 @@ def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
             raise InterfaceExtinct(f"front vanished by t = {s.t:.6g}")
         front = front_cells(phi)
         if fix_drift:
-            g = gradient_centered(s.phi)
+            gx, gy = gradient_centered(s.phi)
             band = _grow(front, 3)
-            mag = np.hypot(g.x[band], g.y[band])
+            mag = np.hypot(gx[band], gy[band])
             if mag.min() < 0.7 or mag.max() > 1.5:
                 s = redistance(s)
                 front = front_cells(s.phi.values)
@@ -268,9 +265,9 @@ def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
     front_pass(s0, fix_drift=False)
 
     def advance(s: SharpState, mark: float) -> SharpState:
-        w = None if chi_off else chi_gradient(s.v, p.chi)
-        w_max = 0.0 if w is None else w.max_norm()
-        dt = min(sharp_dt_max(grid, w_max), mark - s.t)
+        w = chi_gradient(s.v, p.chi)
+        # the explicit curvature term needs dt <= h^2/6
+        dt = min(grid.h**2 / 6.0, advection_dt(grid.h, w), mark - s.t)
         s = step_sharp(s, p, dt, w, evolve_fields=evolve_fields)
         return front_pass(s, fix_drift=True)
 

@@ -31,7 +31,7 @@ from haptolab.diffuse import (
     uniform_state,
 )
 from haptolab.errors import ConfigError, MissingSnapshotError
-from haptolab.grid import Grid, ScalarField
+from haptolab.grid import Grid, ScalarField, laplacian_neumann
 from haptolab.kernel import (
     ChiSpec,
     envelope_constants,
@@ -153,6 +153,17 @@ class TestResidual:
         np.testing.assert_allclose(r0.values, 0.0, atol=1e-12)
         r1 = residual_Lv(one, v_uniform, zero, ChiSpec.identity(), 0.05)
         np.testing.assert_allclose(r1.values, 0.0, atol=1e-10)
+
+    def test_constant_chi_has_no_divergence_term(self):
+        rng = np.random.default_rng(4)
+        grid = Grid.unit_square(16)
+        u = ScalarField(grid, rng.uniform(size=(16, 16)))
+        v = ScalarField.from_function(grid, lambda x, y: 1 + 0.3 * x * y)
+        u_t = ScalarField(grid, rng.normal(size=(16, 16)))
+        r = residual_Lv(u, v, u_t, ChiSpec.constant(), 0.05)
+        expected = (u_t.values - laplacian_neumann(u).values
+                    - f_bistable(u.values) / 0.05**2)
+        np.testing.assert_array_equal(r.values, expected)
 
     def test_slack_scaling(self):
         assert residual_slack(0.01, 1e-4, 0.1) == pytest.approx(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -301,3 +303,19 @@ def test_is_simple_matches_all_pairs_oracle(loops):
     # one loop, star-shaped or self-crossing; two loops apart or crossing
     c = InterfaceCurve(loops[0], extras=loops[1:])
     assert c.is_simple() == simple_oracle(c)
+
+
+def test_is_simple_memory_bounded_by_long_segment():
+    # a semicircle of 2,000 vertices closed by its chord: pairing every
+    # midpoint within the chord's length would hold ~n^2/2 candidate pairs
+    th = np.linspace(0.0, np.pi, 2000)
+    c = InterfaceCurve(np.stack([0.5 + 0.3 * np.cos(th),
+                                 0.2 + 0.3 * np.sin(th)], axis=1))
+    tracemalloc.start()
+    try:
+        simple = c.is_simple()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert simple
+    assert peak < 20e6

@@ -129,8 +129,32 @@ class TestStructure:
         grid = Grid.unit_square(16)
         s = uniform_state(grid, 0.5, 1.0, 0.0)
         s.u.values[3, 3] = 2.5  # above C0
-        with pytest.raises(StabilityViolationError):
+        with pytest.raises(StabilityViolationError,
+                           match=r"u\[3, 3\] = 2.5 at t = 0, above its "
+                                 r"bound 2$"):
             s.check_invariants(HaptoParams(eps=0.1, lam=1.0, alpha=1.0))
+
+
+class TestNoDrift:
+    """A constant chi has no drift: chi_gradient returns None, and a step
+    without a drift is the step with an all-zero one."""
+
+    def test_constant_chi_has_no_drift(self):
+        v = ScalarField.from_function(Grid.unit_square(16),
+                                      lambda x, y: 1.0 + 0.3 * x * y)
+        assert chi_gradient(v, ChiSpec.constant()) is None
+
+    def test_step_without_drift_equals_zero_drift(self, front_state):
+        p = HaptoParams(eps=0.08, lam=1.0, alpha=0.5, chi=ChiSpec.constant())
+        grid = front_state.u.grid
+        zero = np.zeros((grid.nx, grid.ny))
+        dt = dt_max(p, grid, None)
+        assert dt == dt_max(p, grid, (zero, zero))
+        a = step_diffuse(front_state, p, dt, None)
+        b = step_diffuse(front_state, p, dt, (zero, zero))
+        for name in ("u", "v", "m", "int_m"):
+            assert np.array_equal(getattr(a, name).values,
+                                  getattr(b, name).values)
 
 
 class TestMarch:
@@ -222,6 +246,6 @@ class TestSubsystem:
     def test_gradient_of_linear_chi(self):
         grid = Grid.unit_square(16)
         v = ScalarField.from_function(grid, lambda x, y: 2 * x - 0.5 * y)
-        w = chi_gradient(v, ChiSpec.identity())
-        np.testing.assert_allclose(w.x, 2.0, atol=1e-12)
-        np.testing.assert_allclose(w.y, -0.5, atol=1e-12)
+        wx, wy = chi_gradient(v, ChiSpec.identity())
+        np.testing.assert_allclose(wx, 2.0, atol=1e-12)
+        np.testing.assert_allclose(wy, -0.5, atol=1e-12)

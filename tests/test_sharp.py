@@ -118,6 +118,16 @@ class TestMotion:
             s = step_sharp(s, mcf, grid.h**2 / 8, None)
         assert np.abs(s.phi.values - before).max() < 1e-8
 
+    def test_step_without_drift_equals_zero_drift(self):
+        s = circle_state(n=64, r=0.25)
+        zero = np.zeros_like(s.phi.values)
+        dt = s.phi.grid.h**2 / 6
+        a = step_sharp(s, mcf, dt, None)
+        b = step_sharp(s, mcf, dt, (zero, zero))
+        for name in ("phi", "v", "m", "int_m"):
+            assert np.array_equal(getattr(a, name).values,
+                                  getattr(b, name).values)
+
     def test_haptotaxis_translates_front(self):
         # linear chi with a matrix gradient pushes the front toward larger v
         grid = Grid.unit_square(96)

@@ -7,7 +7,8 @@ Run from the root of a source checkout; haptolab is imported from its
 `src/`. For each benchmark workload (bench/workloads.py, used as is) it
 runs one first solve at seed 1, as the benchmark does, and hashes every
 snapshot's t and fields: phi or u, then v, m and int_m. It then runs the
-CLI's `simulate-sharp` and `compare` on small circle configs and
+CLI's `simulate-sharp` and `compare` on small circle configs,
+`simulate-diffuse` on a circle with constant chi (no drift), and
 `simulate-diffuse` and `simulate-sharp` on a star, and hashes every artifact
 they write except manifest.json, which holds the wall time. Two checkouts
 whose outputs agree print the same lines.
@@ -37,6 +38,9 @@ CLI_CONFIGS = {
                 "n_snapshots": 2, "n_sharp": 128,
                 "chi": {"variant": "constant", "coeffs": [],
                         "v_max": 10.0}},
+    "simulate-diffuse constant-chi": {"kind": "diffuse", "eps": 0.1,
+                                      "t_end": 0.002, "n_snapshots": 2,
+                                      "chi": {"variant": "constant"}},
     "simulate-diffuse star": {"kind": "diffuse", "eps": 0.1, "t_end": 0.002,
                               "n_snapshots": 2, "shape": STAR},
     "simulate-sharp star": {"kind": "sharp", "eps": 0.05, "t_end": 0.002,
