@@ -69,19 +69,27 @@ class InterfaceCurve:
     def is_simple(self) -> bool:
         """True when no two segments, of any loops, cross inside both.
         Crossing segments have midpoints within (L_i + L_j)/2 <=
-        max(L_i, L_j), so each midpoint i is paired only with those a
-        KD-tree finds within its own L_i. A shared vertex gives t or u
-        exactly 0 or 1, and a segment paired with itself denom 0, which
-        both fail the test."""
+        max(L_i, L_j). So a KD-tree pairs the midpoints of the segments no
+        longer than the median length (plus round-off) within that length,
+        and each longer segment i with the midpoints within its own L_i:
+        evenly spaced loops need no per-midpoint query, and one long
+        segment (an arc closed by its chord) does not make the pairs grow
+        with n^2. A shared vertex gives t or u exactly 0 or 1, and a
+        segment paired with itself denom 0, which both fail the test."""
         a, b = self.segments()
         d = b - a
         mid = 0.5 * (a + b)
-        near = cKDTree(mid).query_ball_point(
-            mid, np.sqrt(np.sum(d * d, axis=1)) * (1 + 1e-9),
-            return_sorted=False)
+        length = np.sqrt(np.sum(d * d, axis=1))
+        cut = np.median(length) * (1 + 1e-9)
+        tree = cKDTree(mid)
+        pairs = tree.query_pairs(cut * (1 + 1e-9), output_type="ndarray")
+        long = np.flatnonzero(length > cut)
+        near = tree.query_ball_point(mid[long], length[long] * (1 + 1e-9),
+                                     return_sorted=False)
         counts = np.fromiter(map(len, near), int, len(near))
-        i = np.repeat(np.arange(len(near)), counts)
-        j = np.fromiter(chain.from_iterable(near), int, counts.sum())
+        i = np.concatenate([pairs[:, 0], np.repeat(long, counts)])
+        j = np.concatenate([pairs[:, 1], np.fromiter(
+            chain.from_iterable(near), int, counts.sum())])
         r, s, qp = d[i], d[j], a[j] - a[i]
         denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):

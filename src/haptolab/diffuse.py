@@ -3,9 +3,11 @@ haptotactic advection for the cells u, the ODE for the matrix v, and the
 parabolic equation for the enzymes m.
 
 One step is a Strang split: half reaction (RK4 on du/dt = f(u)/eps^2), full
-transport (explicit diffusion + upwind advection for u, backward Euler for
-m), trapezoid update of the accumulated enzyme integral with exact
-exponential reconstruction of v, then the second half reaction.
+transport (upwind advection, then exact diffusion exp(dt*Laplacian) in the
+cosine basis for u; backward Euler for m), trapezoid update of the
+accumulated enzyme integral with exact exponential reconstruction of v, then
+the second half reaction. Each transport part keeps u >= 0, so no diffusion
+CFL bounds the step.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from .grid import (
     ScalarField,
     advective_divergence,
     gradient_centered,
+    heat_neumann,
     helmholtz_solve_neumann,
     laplacian_neumann,
 )
@@ -291,10 +294,11 @@ def advection_dt(h: float, w) -> float:
 
 
 def dt_max(p: HaptoParams, grid: Grid, w) -> float:
-    """Explicit stability bound: diffusion CFL, reaction stiffness and the
-    advection CFL of the drift w = chi_gradient(v, p.chi), which None
-    (constant chi) leaves out."""
-    return min(grid.h**2 / 8.0, p.eps**2 / 10.0, advection_dt(grid.h, w))
+    """Step bound: the reaction stiffness eps^2/10 and the advection CFL of
+    the drift w = chi_gradient(v, p.chi), which None (constant chi) leaves
+    out. Diffusion is exact, so it sets no bound and the step does not
+    shrink with h when there is no drift."""
+    return min(p.eps**2 / 10.0, advection_dt(grid.h, w))
 
 
 def _reaction_half_step(u: np.ndarray, p: HaptoParams, half_dt: float
@@ -342,11 +346,9 @@ def step_diffuse(s: DiffuseState, p: HaptoParams, dt: float,
     grid = s.u.grid
     u = _reaction_half_step(s.u.values, p, 0.5 * dt)
 
-    uf = ScalarField(grid, u)
-    du = laplacian_neumann(uf).values
     if w is not None:
-        du -= advective_divergence(uf, w).values
-    u = u + dt * du
+        u = u - dt * advective_divergence(ScalarField(grid, u), w).values
+    u = heat_neumann(ScalarField(grid, u), dt).values
     v_new, m_new, int_m = advance_vm(s.v_init, s.m, s.int_m, s.u.values,
                                      p, dt)
 
@@ -367,16 +369,23 @@ def march(s0, t_end: float, snapshot_times, advance) -> list:
     mark. The marks are the distinct snapshot times and t_end later than
     s0.t, in order; a state within 1e-14 of a mark has reached it. Returns
     a copy of s0 and one of the state at each mark, whose t is set to the
-    mark exactly (absorbing round-off on the hit).
+    mark exactly (absorbing round-off on the hit). A
+    StabilityViolationError from advance is raised again with the number
+    of its step, counted from 1, appended.
     """
     if t_end < s0.t:
         raise ValueError("t_end before current time")
     marks = sorted({float(t) for t in snapshot_times} | {t_end})
     s = s0
     snaps = [s.copy()]
+    step = 0
     for mark in (t for t in marks if t > s0.t):
         while s.t < mark - 1e-14:
-            s = advance(s, mark)
+            step += 1
+            try:
+                s = advance(s, mark)
+            except StabilityViolationError as e:
+                raise StabilityViolationError(f"{e}, at step {step}") from e
         s = replace(s, t=mark)
         snaps.append(s.copy())
     return snaps

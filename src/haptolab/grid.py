@@ -180,6 +180,22 @@ def _mirror_eigenvalues(n: int, h: float) -> np.ndarray:
     return (2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0) / h**2
 
 
+def _in_cosine_basis(f: ScalarField, act) -> ScalarField:
+    """Apply an operator that is diagonal in the tensor cosine basis:
+    transform f, let act(coef, lam) map the coefficients in place, given
+    the eigenvalues lam of the 5-point mirror-ghost Laplacian, and
+    transform back. The transforms use numpy's FFT, which runs on one
+    thread: on a 2-core host, a BLAS matrix product in their place became
+    an order of magnitude slower as soon as another process competed for
+    the cores.
+    """
+    grid = f.grid
+    lam = (_mirror_eigenvalues(grid.nx, grid.h)[:, None]
+           + _mirror_eigenvalues(grid.ny, grid.h)[None, :])
+    coef = act(_cos_analysis(_cos_analysis(f.values).T).T, lam)
+    return ScalarField(grid, _cos_synthesis(_cos_synthesis(coef).T).T)
+
+
 def helmholtz_solve_neumann(a: float, b: float,
                             rhs: ScalarField) -> ScalarField:
     """Solve (a*I - b*Laplacian) x = rhs with Neumann walls exactly.
@@ -187,19 +203,24 @@ def helmholtz_solve_neumann(a: float, b: float,
     The 5-point mirror-ghost Laplacian is diagonal in the tensor cosine
     basis (Schumann & Sweet, JCP 20, 1976), so the solve is a cosine
     transform, a division by the eigenvalues of a*I - b*Laplacian (at
-    least a > 0 for b >= 0) and the inverse transform. The transforms use
-    numpy's FFT, which runs on one thread: on a 2-core host, a BLAS matrix
-    product in their place became an order of magnitude slower as soon as
-    another process competed for the cores.
+    least a > 0 for b >= 0) and the inverse transform.
     """
     if a <= 0 or b < 0:
         raise ValueError("need a > 0 and b >= 0")
-    grid = rhs.grid
-    lx = _mirror_eigenvalues(grid.nx, grid.h)
-    ly = _mirror_eigenvalues(grid.ny, grid.h)
-    coef = _cos_analysis(_cos_analysis(rhs.values).T).T
-    coef /= a - b * (lx[:, None] + ly[None, :])
-    return ScalarField(grid, _cos_synthesis(_cos_synthesis(coef).T).T)
+    return _in_cosine_basis(rhs, lambda coef, lam: np.divide(
+        coef, a - b * lam, out=coef))
+
+
+def heat_neumann(f: ScalarField, t: float) -> ScalarField:
+    """Exact heat flow exp(t*Laplacian) f of the 5-point mirror-ghost
+    Laplacian over time t >= 0: a multiplication by exp(t*lam) in the
+    cosine basis. The operator is non-negative and keeps the mass and
+    constants, since the Laplacian has non-negative off-diagonal entries
+    and zero row sums."""
+    if t < 0:
+        raise ValueError("need t >= 0")
+    return _in_cosine_basis(f, lambda coef, lam: np.multiply(
+        coef, np.exp(t * lam), out=coef))
 
 
 # --- snapshot file format -------------------------------------------------

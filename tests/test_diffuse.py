@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from haptolab import diffuse
 from haptolab.curves import distance_to_curve
 from haptolab.diffuse import (
     CosineSpec,
@@ -24,7 +25,7 @@ from haptolab.diffuse import (
     uniform_state,
 )
 from haptolab.errors import InvalidInitialDataError, StabilityViolationError
-from haptolab.grid import Grid, ScalarField
+from haptolab.grid import Grid, ScalarField, heat_neumann
 from haptolab.kernel import ChiSpec
 
 
@@ -157,8 +158,61 @@ class TestNoDrift:
                                   getattr(b, name).values)
 
 
+class TestExactDiffusion:
+    """u diffuses by the exact heat flow of the discrete Laplacian, so only
+    the reaction and the advection bound the step."""
+
+    def test_transport_without_drift_is_the_heat_flow(self, front_state):
+        p = HaptoParams(eps=0.08, lam=1.0, alpha=0.5,
+                        chi=ChiSpec.constant(), reaction=False)
+        dt = dt_max(p, front_state.u.grid, None)
+        out = step_diffuse(front_state, p, dt, None)
+        assert np.array_equal(out.u.values,
+                              heat_neumann(front_state.u, dt).values)
+
+    def test_no_drift_step_independent_of_h(self):
+        p = HaptoParams(eps=0.04, lam=1.0, alpha=1.0)
+        for n in (64, 256):
+            assert dt_max(p, Grid.unit_square(n), None) == 0.04**2 / 10
+
+    def test_steep_front_beyond_explicit_cap(self):
+        grid = Grid.unit_square(64)
+        data = make_initial_data(
+            ShapeSpec("circle", (0.5, 0.5), 0.25), width=grid.h,
+            v0_spec=CosineSpec(1.0, ((1, 1, 0.5),)),
+            m0_spec=CosineSpec(0.3), grid=grid)
+        p = HaptoParams(eps=0.04, lam=1.0, alpha=1.0, chi=ChiSpec.identity())
+        s = initial_state(data)
+        for _ in range(50):
+            w = chi_gradient(s.v, p.chi)
+            dt = dt_max(p, grid, w)
+            assert dt > grid.h**2 / 8  # forward-Euler diffusion's cap
+            s = step_diffuse(s, p, dt, w)
+            assert s.u.values.min() >= 0.0
+
+
 class TestMarch:
     """run_diffuse marches through the shared loop `march`."""
+
+    def test_violation_names_its_step(self, monkeypatch):
+        step = diffuse.step_diffuse
+        calls = []
+
+        def breaks_on_third(s, p, dt, w):
+            out = step(s, p, dt, w)
+            calls.append(dt)
+            if len(calls) == 3:
+                out.u.values[1, 2] = 2.5
+                out.check_invariants(p)
+            return out
+
+        monkeypatch.setattr(diffuse, "step_diffuse", breaks_on_third)
+        s0 = uniform_state(Grid.unit_square(8), 0.3, 1.0, 0.2)
+        with pytest.raises(StabilityViolationError,
+                           match=r"u\[1, 2\] = 2.5 at t = 0.003, above its "
+                                 r"bound 2, at step 3$"):
+            run_diffuse(s0, HaptoParams(eps=0.1, lam=1.0, alpha=1.0), 0.01)
+        assert len(calls) == 3
 
     def test_one_snapshot_per_distinct_mark(self):
         grid = Grid.unit_square(8)

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm
 
 from haptolab.errors import OutOfDomainError
 from haptolab.grid import (
@@ -7,6 +11,7 @@ from haptolab.grid import (
     ScalarField,
     advective_divergence,
     gradient_centered,
+    heat_neumann,
     helmholtz_solve_neumann,
     interpolate_bilinear,
     laplacian_neumann,
@@ -193,6 +198,42 @@ def test_helmholtz_solver_matches_dense_reference():
             for e in np.eye(nx * ny)]
         dense = np.linalg.solve(np.stack(cols, axis=1), rhs.values.ravel())
         assert sup(x.values.ravel() - dense) < 1e-12
+
+
+def dense_laplacian(g):
+    """The mirror-ghost Laplacian, assembled column by column from the
+    stencil."""
+    n = g.nx * g.ny
+    return np.stack([laplacian_neumann(
+        ScalarField(g, e.reshape(g.nx, g.ny))).values.ravel()
+        for e in np.eye(n)], axis=1)
+
+
+class TestHeat:
+    def test_matches_dense_exponential(self):
+        rng = np.random.default_rng(29)
+        g = Grid(16, 12, 1.0 / 16)
+        f = ScalarField(g, rng.normal(size=(16, 12)))
+        L = dense_laplacian(g)
+        for t in (0.0, 1e-4, 3e-3, 0.05):
+            exact = expm(t * L) @ f.values.ravel()
+            assert sup(heat_neumann(f, t).values.ravel() - exact) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=arrays(float, (12, 10),
+                         elements=st.floats(0.0, 2.0, width=64)),
+           t=st.floats(0.0, 0.1))
+    def test_keeps_mass_and_minimum(self, values, t):
+        g = Grid(12, 10, 1.0 / 12)
+        out = heat_neumann(ScalarField(g, values), t).values
+        mass = values.sum()
+        assert abs(out.sum() - mass) <= 1e-12 * mass + 1e-300  # subnormals
+        assert out.min() >= -1e-14
+
+    def test_negative_time_rejected(self):
+        f = ScalarField.full(Grid.unit_square(8), 1.0)
+        with pytest.raises(ValueError, match="t >= 0"):
+            heat_neumann(f, -1e-6)
 
 
 def test_snapshot_roundtrip(tmp_path):
