@@ -158,22 +158,6 @@ def interpolate_bilinear(f: ScalarField, p) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _cos_analysis(x: np.ndarray) -> np.ndarray:
-    """Type-II cosine transform along the last axis,
-    c_k = 2 sum_j x_j cos(pi k (j + 1/2) / n), from the FFT of the even
-    extension of x."""
-    n = x.shape[-1]
-    y = np.fft.rfft(np.concatenate([x, x[..., ::-1]], axis=-1))[..., :n]
-    return (y * np.exp(-0.5j * np.pi * np.arange(n) / n)).real
-
-
-def _cos_synthesis(c: np.ndarray) -> np.ndarray:
-    """Inverse of _cos_analysis along the last axis."""
-    n = c.shape[-1]
-    z = c * np.exp(0.5j * np.pi * np.arange(n) / n)
-    return np.fft.irfft(z, 2 * n)[..., :n]
-
-
 def _mirror_eigenvalues(n: int, h: float) -> np.ndarray:
     """Eigenvalues of the 1-D mirror-ghost second difference, one per
     cosine mode k."""
@@ -184,16 +168,22 @@ def _in_cosine_basis(f: ScalarField, act) -> ScalarField:
     """Apply an operator that is diagonal in the tensor cosine basis:
     transform f, let act(coef, lam) map the coefficients in place, given
     the eigenvalues lam of the 5-point mirror-ghost Laplacian, and
-    transform back. The transforms use numpy's FFT, which runs on one
-    thread: on a 2-core host, a BLAS matrix product in their place became
-    an order of magnitude slower as soon as another process competed for
-    the cores.
+    transform back. The transforms are scipy.fft's DCT-II on both axes,
+    c_k = 2 sum_j x_j cos(pi k (j + 1/2) / n), and its inverse. They run
+    on one worker by default: on a 2-core host, a BLAS matrix product in
+    their place became an order of magnitude slower as soon as another
+    process competed for the cores.
     """
+    # Imported on first use: loading scipy.fft costs about 30 ms, which
+    # runs that make no cosine solve (curvature flow with frozen fields)
+    # should not pay when they import haptolab.
+    from scipy import fft
     grid = f.grid
     lam = (_mirror_eigenvalues(grid.nx, grid.h)[:, None]
            + _mirror_eigenvalues(grid.ny, grid.h)[None, :])
-    coef = act(_cos_analysis(_cos_analysis(f.values).T).T, lam)
-    return ScalarField(grid, _cos_synthesis(_cos_synthesis(coef).T).T)
+    coef = act(fft.dctn(f.values, type=2), lam)
+    # coef is dctn's own array, never the caller's f.values
+    return ScalarField(grid, fft.idctn(coef, type=2, overwrite_x=True))
 
 
 def helmholtz_solve_neumann(a: float, b: float,

@@ -170,7 +170,7 @@ def test_criterion_5_field_convergence(study_record):
         mono = all(b < a for a, b in zip(gaps, gaps[1:]))
         ratio = gaps[-1] / gaps[0]
         ok = ok and mono and ratio <= 0.6
-        parts.append(f"{name}-gap {[f'{g:.4f}' for g in gaps]} "
+        parts.append(f"{name}-gap {[f'{g:.2e}' for g in gaps]} "
                      f"ratio {ratio:.2f}")
     _record(5, "field convergence", ok,
             "; ".join(parts) + " (monotone, final/initial <= 0.6)")

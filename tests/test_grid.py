@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
+import haptolab
 from haptolab.errors import OutOfDomainError
 from haptolab.grid import (
     Grid,
@@ -186,7 +193,7 @@ class TestInterpolation:
 def test_helmholtz_solver_matches_dense_reference():
     rng = np.random.default_rng(23)
     a, b = 1.3, 0.02
-    for nx, ny in ((8, 8), (16, 12)):
+    for nx, ny in ((8, 8), (16, 12), (9, 13)):
         g = Grid(nx, ny, 1.0 / nx)
         rhs = ScalarField(g, rng.normal(size=(nx, ny)))
         x = helmholtz_solve_neumann(a, b, rhs)
@@ -198,6 +205,42 @@ def test_helmholtz_solver_matches_dense_reference():
             for e in np.eye(nx * ny)]
         dense = np.linalg.solve(np.stack(cols, axis=1), rhs.values.ravel())
         assert sup(x.values.ravel() - dense) < 1e-12
+
+
+def test_cosine_solves_leave_their_argument_unchanged():
+    rng = np.random.default_rng(37)
+    f = ScalarField(Grid(16, 12, 1.0 / 16), rng.normal(size=(16, 12)))
+    before = f.values.copy()
+    heat_neumann(f, 3e-3)
+    helmholtz_solve_neumann(1.3, 0.02, f)
+    assert np.array_equal(f.values, before)
+
+
+def test_scipy_fft_is_loaded_only_by_a_cosine_solve():
+    # scipy.fft takes about 30 ms to import: importing haptolab, or a run
+    # that makes no cosine solve, must not load it
+    code = textwrap.dedent("""
+        import sys
+        import haptolab.analysis
+        assert "scipy.fft" not in sys.modules, "loaded on import"
+        from haptolab.curves import circle_polyline
+        from haptolab.diffuse import HaptoParams
+        from haptolab.grid import Grid, ScalarField
+        from haptolab.kernel import ChiSpec
+        from haptolab.sharp import init_levelset, run_sharp
+        grid = Grid.unit_square(32)
+        s0 = init_levelset(circle_polyline((0.5, 0.5), 0.25, n=256), grid,
+                           ScalarField.full(grid, 1.0),
+                           ScalarField.full(grid, 0.0), d0=0.04)
+        p = HaptoParams(eps=0.05, lam=1.0, alpha=1.0, chi=ChiSpec.constant())
+        run_sharp(s0, p, 1e-3, evolve_fields=False)
+        assert "scipy.fft" not in sys.modules, "loaded by frozen fields"
+    """)
+    src = str(Path(haptolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def dense_laplacian(g):
@@ -212,12 +255,13 @@ def dense_laplacian(g):
 class TestHeat:
     def test_matches_dense_exponential(self):
         rng = np.random.default_rng(29)
-        g = Grid(16, 12, 1.0 / 16)
-        f = ScalarField(g, rng.normal(size=(16, 12)))
-        L = dense_laplacian(g)
-        for t in (0.0, 1e-4, 3e-3, 0.05):
-            exact = expm(t * L) @ f.values.ravel()
-            assert sup(heat_neumann(f, t).values.ravel() - exact) < 1e-12
+        for nx, ny in ((16, 12), (11, 9)):
+            g = Grid(nx, ny, 1.0 / nx)
+            f = ScalarField(g, rng.normal(size=(nx, ny)))
+            L = dense_laplacian(g)
+            for t in (0.0, 1e-4, 3e-3, 0.05):
+                exact = expm(t * L) @ f.values.ravel()
+                assert sup(heat_neumann(f, t).values.ravel() - exact) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(values=arrays(float, (12, 10),
