@@ -19,6 +19,7 @@ from .diffuse import (
     DiffuseState,
     HaptoParams,
     ShapeSpec,
+    StudyConfig,
     chi_gradient,
     initial_state,
     make_initial_data,
@@ -168,34 +169,6 @@ class ConvergenceRecord:
         return json.dumps(self.__dict__, indent=2)
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    shape: ShapeSpec
-    v0_spec: CosineSpec
-    m0_spec: CosineSpec
-    lam: float = 1.0
-    alpha: float = 1.0
-    chi: ChiSpec = field(default_factory=ChiSpec.identity)
-    t_end: float = 0.01
-    n_snapshots: int = 4
-    d0: float = 0.04
-    n_sharp: int = 256
-    # sigmoid width of the initial cell profile; None tracks the diffuse
-    # length scale (sqrt(2) eps, the standing-wave width), while generation
-    # experiments need an eps-independent value to satisfy the smooth-data
-    # hypothesis
-    width: float | None = None
-    smooth_interior: bool = False
-    # displacement of the prepared layer in units of eps; generic data for
-    # localization studies carries a nonzero first-order offset, while zero
-    # keeps the layer centered on the limit front
-    prep_shift: float = 0.0
-
-    def snapshot_times(self) -> tuple[float, ...]:
-        return tuple(self.t_end * (k + 1) / self.n_snapshots
-                     for k in range(self.n_snapshots))
-
-
 def grid_for_eps(eps: float) -> Grid:
     """Unit-square grid with h = eps/4 (the resolution floor)."""
     n = int(round(4.0 / eps))
@@ -215,15 +188,8 @@ def sharp_reference(cfg: StudyConfig, p: HaptoParams):
 
 def diffuse_run(cfg: StudyConfig, eps: float,
                 extra_times: tuple[float, ...] = ()):
-    grid = grid_for_eps(eps)
-    p = HaptoParams(eps=eps, lam=cfg.lam, alpha=cfg.alpha, chi=cfg.chi)
-    width = cfg.width if cfg.width is not None else math.sqrt(2.0) * eps
-    data = make_initial_data(cfg.shape, width=width,
-                             v0_spec=cfg.v0_spec, m0_spec=cfg.m0_spec,
-                             grid=grid, d0=cfg.d0,
-                             smooth_interior=cfg.smooth_interior,
-                             front_shift=cfg.prep_shift * eps)
-    s0 = initial_state(data)
+    p = cfg.params(eps)
+    s0 = initial_state(make_initial_data(cfg, eps, grid_for_eps(eps)))
     times = tuple(sorted(set(cfg.snapshot_times()) | set(extra_times)))
     return run_diffuse(s0, p, max(times[-1], cfg.t_end),
                        snapshot_times=times), p
@@ -244,9 +210,7 @@ def convergence_study(cfg: StudyConfig, eps_list) -> ConvergenceRecord:
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps list must be strictly decreasing")
-    p_sharp = HaptoParams(eps=eps_list[0], lam=cfg.lam, alpha=cfg.alpha,
-                          chi=cfg.chi)
-    sharp_snaps = sharp_reference(cfg, p_sharp)
+    sharp_snaps = sharp_reference(cfg, cfg.params(eps_list[0]))
     sharp_by_t = {round(s.t, 12): s for s in sharp_snaps}
 
     gap_grid = Grid.unit_square(64)
@@ -280,7 +244,8 @@ def refinement_order(eps: float, t_end: float, n_base: int,
                      cfg: StudyConfig | None = None) -> tuple[float, list[float]]:
     """Self-convergence order of the diffuse solver under grid halving.
 
-    Runs the same problem at n, 2n, 4n, restricts each finer solution to
+    Runs cfg's problem to t_end at n, 2n, 4n, each from the initial data
+    that diffuse_run builds at eps, restricts each finer solution to
     the base cells by block averaging (pointwise interpolation would leave
     a non-converging sampling-error floor near curvature centers), and
     returns log2 of the ratio of successive sup-norm differences together
@@ -290,13 +255,10 @@ def refinement_order(eps: float, t_end: float, n_base: int,
         cfg = StudyConfig(ShapeSpec("circle", (0.5, 0.5), 0.25),
                           CosineSpec(1.0, ((1, 1, 0.2),)),
                           CosineSpec(0.3, ((2, 0, 0.1),)), t_end=t_end)
+    p = cfg.params(eps)
     fields = []
     for n in (n_base, 2 * n_base, 4 * n_base):
-        grid = Grid.unit_square(n)
-        p = HaptoParams(eps=eps, lam=cfg.lam, alpha=cfg.alpha, chi=cfg.chi)
-        data = make_initial_data(cfg.shape, width=math.sqrt(2.0) * eps,
-                                 v0_spec=cfg.v0_spec, m0_spec=cfg.m0_spec,
-                                 grid=grid, d0=cfg.d0)
+        data = make_initial_data(cfg, eps, Grid.unit_square(n))
         snaps = run_diffuse(initial_state(data), p, t_end)
         k = n // n_base
         u = snaps[-1].u.values
@@ -333,8 +295,7 @@ def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants
     depth.  Slack at each time is 1e-6 + q(t), with q absorbing the
     envelope's own vertical offset.
     """
-    p_sharp = HaptoParams(eps=eps, lam=cfg.lam, alpha=cfg.alpha, chi=cfg.chi)
-    sharp_snaps = sharp_reference(cfg, p_sharp)
+    sharp_snaps = sharp_reference(cfg, cfg.params(eps))
     sharp_by_t = {round(s.t, 12): s for s in sharp_snaps}
     snaps, p = diffuse_run(cfg, eps)
     grid = snaps[0].u.grid

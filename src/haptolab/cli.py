@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .analysis import (
     sharp_reference,
 )
 from .curves import extract_level_curve, write_curve
-from .diffuse import CosineSpec, HaptoParams, ShapeSpec
+from .diffuse import CosineSpec, ShapeSpec
 from .errors import ConfigError, HaptolabError
 from .grid import write_snapshot
 from .kernel import ChiSpec, solve_profile_bvp, standing_profile
@@ -37,33 +37,27 @@ from .kernel import ChiSpec, solve_profile_bvp, standing_profile
 KINDS = ("diffuse", "sharp", "compare", "generation", "convergence",
          "profile")
 
+# the study's own keys default to StudyConfig's field values, and the nested
+# objects to their records' (m0 to constant 0.3); a nested object in a
+# config is merged over its default, so the keys it leaves out keep theirs
+_STUDY = {f.name: f.default for f in fields(StudyConfig)
+          if f.default is not MISSING}
+_NESTED = {
+    "chi": {"variant": "linear", "coeffs": [], "v_max": 10.0},
+    "shape": ShapeSpec().to_dict(),
+    "v0": CosineSpec().to_dict(),
+    "m0": CosineSpec(0.3).to_dict(),
+}
 _DEFAULTS = {
     "kind": None,
     "eps": 0.04,
     "eps_list": None,
-    "lam": 1.0,
-    "alpha": 1.0,
-    "chi": {"variant": "linear", "coeffs": [], "v_max": 10.0},
-    "shape": {"kind": "circle", "center": [0.5, 0.5], "r0": 0.25,
-              "amp": 0.0, "k": 0},
-    "v0": {"constant": 1.0, "modes": []},
-    "m0": {"constant": 0.3, "modes": []},
-    "t_end": 0.01,
-    "width": None,
-    "smooth_interior": False,
-    "prep_shift": 0.0,
-    "n_snapshots": 4,
-    "d0": 0.04,
-    "n_sharp": 256,
+    **_STUDY,
+    **_NESTED,
     "eta": 0.1,
     "M0": 2.0,
     "out": "runs",
 }
-
-# nested config objects and the records they build; their keys are the
-# records' fields
-_RECORDS = {"chi": ChiSpec, "shape": ShapeSpec, "v0": CosineSpec,
-            "m0": CosineSpec}
 
 
 @dataclass
@@ -72,12 +66,11 @@ class RunConfig:
     raw: dict
     study: StudyConfig
 
-    def hapto_params(self, eps: float) -> HaptoParams:
-        return HaptoParams(eps=eps, lam=self.raw["lam"],
-                           alpha=self.raw["alpha"], chi=self.study.chi)
-
 
 def normalize_config(data: dict) -> dict:
+    """Fill in the defaults and check what no record owns: the keys, the
+    run's kind, eps, eps_list, eta, M0, a positive t_end, and compare's
+    circle and constant chi. The records check the rest (parse_config)."""
     unknown = sorted(set(data) - set(_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -86,25 +79,21 @@ def normalize_config(data: dict) -> dict:
         raise ConfigError(
             f"kind must be one of {', '.join(KINDS)}, got {merged['kind']!r}"
         )
-    for key, record in _RECORDS.items():
+    for key, default in _NESTED.items():
         if not isinstance(merged[key], dict):
             raise ConfigError(f"{key} must be a JSON object")
-        unknown = sorted(set(merged[key]) - {f.name for f in fields(record)})
+        unknown = sorted(set(merged[key]) - set(default))
         if unknown:
             raise ConfigError(f"unknown {key} keys: {', '.join(unknown)}")
-    positive = ("eps", "lam", "alpha", "t_end", "d0", "M0", "eta") + (
-        () if merged["width"] is None else ("width",))
-    for key in positive:
+        merged[key] = {**default, **merged[key]}
+    for key in ("eps", "t_end", "M0", "eta"):
         if not (isinstance(merged[key], (int, float)) and merged[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
     if merged["eta"] >= 0.25:
         raise ConfigError("eta must lie in (0, 1/4)")
-    for key, least in (("n_sharp", 8), ("n_snapshots", 1)):
-        if not (isinstance(merged[key], int) and merged[key] >= least):
-            raise ConfigError(f"{key} must be an integer of at least {least}")
     if merged["kind"] == "compare" and (
-            merged["chi"].get("variant") != "constant"
-            or merged["shape"].get("kind", "circle") != "circle"):
+            merged["chi"]["variant"] != "constant"
+            or merged["shape"]["kind"] != "circle"):
         raise ConfigError("compare scores against the curvature-flow radius "
                           "law, so it needs a circle and constant chi")
     if merged["kind"] == "convergence":
@@ -138,12 +127,8 @@ def parse_config(path) -> RunConfig:
             shape=ShapeSpec.from_dict(raw["shape"]),
             v0_spec=CosineSpec.from_dict(raw["v0"]),
             m0_spec=CosineSpec.from_dict(raw["m0"]),
-            lam=raw["lam"], alpha=raw["alpha"],
             chi=ChiSpec.from_dict(raw["chi"]),
-            t_end=raw["t_end"], n_snapshots=raw["n_snapshots"],
-            d0=raw["d0"], n_sharp=raw["n_sharp"], width=raw["width"],
-            smooth_interior=raw["smooth_interior"],
-            prep_shift=raw["prep_shift"],
+            **{key: raw[key] for key in _STUDY},
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -195,7 +180,7 @@ def _run_diffuse(cfg: RunConfig, out: Path):
 
 
 def _run_sharp(cfg: RunConfig, out: Path):
-    snaps = sharp_reference(cfg.study, cfg.hapto_params(cfg.raw["eps"]))
+    snaps = sharp_reference(cfg.study, cfg.study.params(cfg.raw["eps"]))
     rows = []
     for i, s in enumerate(snaps):
         curve = extract_level_curve(s.phi, 0.0)
@@ -207,7 +192,7 @@ def _run_sharp(cfg: RunConfig, out: Path):
 def _run_compare(cfg: RunConfig, out: Path):
     """Sharp circle under constant chi against the exact shrinking radius."""
     r0 = cfg.study.shape.r0
-    snaps = sharp_reference(cfg.study, cfg.hapto_params(cfg.raw["eps"]))
+    snaps = sharp_reference(cfg.study, cfg.study.params(cfg.raw["eps"]))
     rows = []
     for s in snaps:
         curve = extract_level_curve(s.phi, 0.0)

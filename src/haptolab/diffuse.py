@@ -12,6 +12,7 @@ CFL bounds the step.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +28,6 @@ from .grid import (
     gradient_centered,
     heat_neumann,
     helmholtz_solve_neumann,
-    laplacian_neumann,
 )
 from .kernel import ChiSpec, f_bistable
 
@@ -102,6 +102,8 @@ class ShapeSpec:
             raise ValueError("shape center must be two numbers")
         if self.r0 <= 0 or self.r0 - abs(self.amp) <= 0:
             raise ValueError("shape radius must stay positive")
+        if not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"shape k must be an integer, got {self.k!r}")
 
     def radius(self, theta):
         if self.kind == "circle":
@@ -130,10 +132,9 @@ class ShapeSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ShapeSpec":
-        return cls(d.get("kind", "circle"),
-                   tuple(d.get("center", (0.5, 0.5))),
-                   float(d.get("r0", 0.25)), float(d.get("amp", 0.0)),
-                   int(d.get("k", 0)))
+        """From a dict holding every field, as `to_dict` writes it."""
+        return cls(d["kind"], tuple(d["center"]), float(d["r0"]),
+                   float(d["amp"]), d["k"])
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,8 @@ class CosineSpec:
     modes: tuple[tuple[int, int, float], ...] = ()
 
     def evaluate(self, grid: Grid) -> ScalarField:
+        """The field at the cell centers. It is an initial v0 or m0 for
+        both solvers, so a negative value anywhere is rejected."""
         X, Y = grid.meshgrid()
         lx, ly = grid.lx, grid.ly
         x0, y0 = grid.origin
@@ -151,6 +154,11 @@ class CosineSpec:
         for i, j, amp in self.modes:
             out += amp * np.cos(i * np.pi * (X - x0) / lx) \
                 * np.cos(j * np.pi * (Y - y0) / ly)
+        low = out.min()
+        if low < 0:
+            raise InvalidInitialDataError(
+                f"v0 and m0 must be nonnegative, got a field reaching {low:.6g}"
+            )
         return ScalarField(grid, out)
 
     def to_dict(self) -> dict:
@@ -159,9 +167,9 @@ class CosineSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CosineSpec":
-        return cls(float(d.get("constant", 1.0)),
-                   tuple((int(i), int(j), float(a))
-                         for i, j, a in d.get("modes", ())))
+        """From a dict holding every field, as `to_dict` writes it."""
+        return cls(float(d["constant"]),
+                   tuple((int(i), int(j), float(a)) for i, j, a in d["modes"]))
 
 
 @dataclass
@@ -172,54 +180,97 @@ class InitialData:
     gamma0: InterfaceCurve
 
 
-def c2_proxy(f: ScalarField) -> float:
-    """Grid shadow of the C^2 norm: sup |f| + sup |grad f| + sup |lap f|."""
-    gx, gy = gradient_centered(f)
-    return float(
-        np.abs(f.values).max()
-        + np.sqrt(gx**2 + gy**2).max()
-        + np.abs(laplacian_neumann(f).values).max()
-    )
+@dataclass(frozen=True)
+class StudyConfig:
+    """The inputs of a run: the initial front and fields, the model
+    constants, the run's end and snapshots, and the shape of the initial
+    cell profile. It checks its own fields on construction (ValueError),
+    and a run builds its HaptoParams (`params`) and initial data
+    (`make_initial_data`) from it. t_end may be 0, for a run that only
+    builds its initial state."""
+
+    shape: ShapeSpec
+    v0_spec: CosineSpec
+    m0_spec: CosineSpec
+    lam: float = 1.0
+    alpha: float = 1.0
+    chi: ChiSpec = field(default_factory=ChiSpec.identity)
+    t_end: float = 0.01
+    n_snapshots: int = 4
+    d0: float = 0.04
+    n_sharp: int = 256
+    # sigmoid width of the initial cell profile; None tracks the diffuse
+    # length scale (sqrt(2) eps, the standing-wave width), while generation
+    # experiments need an eps-independent value to satisfy the smooth-data
+    # hypothesis
+    width: float | None = None
+    smooth_interior: bool = False
+    # displacement of the prepared layer in units of eps; generic data for
+    # localization studies carries a nonzero first-order offset, while zero
+    # keeps the layer centered on the limit front
+    prep_shift: float = 0.0
+
+    def __post_init__(self):
+        positive = ("lam", "alpha", "d0") + (
+            () if self.width is None else ("width",))
+        for name in positive:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise ValueError(f"{name} must be a positive number")
+        if not (isinstance(self.t_end, numbers.Real) and self.t_end >= 0):
+            raise ValueError("t_end must be a nonnegative number")
+        for name, least in (("n_sharp", 8), ("n_snapshots", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(
+                    f"{name} must be an integer of at least {least}")
+        if not isinstance(self.prep_shift, numbers.Real):
+            raise ValueError("prep_shift must be a number")
+        if not isinstance(self.smooth_interior, bool):
+            raise ValueError("smooth_interior must be true or false")
+        if self.smooth_interior and (self.shape.kind != "circle"
+                                     or self.prep_shift != 0):
+            raise ValueError("smooth_interior profiles are defined for "
+                             "circles with prep_shift 0 only")
+
+    def snapshot_times(self) -> tuple[float, ...]:
+        return tuple(self.t_end * (k + 1) / self.n_snapshots
+                     for k in range(self.n_snapshots))
+
+    def params(self, eps: float) -> HaptoParams:
+        """The model constants of a run at eps."""
+        return HaptoParams(eps=eps, lam=self.lam, alpha=self.alpha,
+                           chi=self.chi)
 
 
-def make_initial_data(shape: ShapeSpec, width: float, v0_spec: CosineSpec,
-                      m0_spec: CosineSpec, grid: Grid, d0: float = 0.04,
-                      c2_bound: float | None = None,
-                      smooth_interior: bool = False,
-                      front_shift: float = 0.0) -> InitialData:
-    """Build hypothesis-compliant initial data.
+def make_initial_data(cfg: StudyConfig, eps: float, grid: Grid
+                      ) -> InitialData:
+    """Build hypothesis-compliant initial data for a run of cfg at eps.
 
-    u0 is a sigmoid of the signed distance to the interface (negative
-    inside, so u0 > 1/2 there). The plain signed distance has a cone at the
-    medial axis whose Laplacian spike fights the reaction; for circles,
-    smooth_interior=True substitutes the parabolic argument
-    (r0^2 - r^2)/(2 r0 width), which matches d/width at the interface but
-    is smooth everywhere. front_shift displaces the sigmoid outward, so the
-    u0 = 1/2 level sits at that distance outside the nominal interface
-    (generic data for localization studies never sits exactly on the limit
-    front). When c2_bound is given, the discrete C^2 proxies of the three
-    fields must sum below it.
+    u0 is a sigmoid, of width cfg.width (sqrt(2) eps when None), of the
+    signed distance to the interface (negative inside, so u0 > 1/2 there).
+    The plain signed distance has a cone at the medial axis whose Laplacian
+    spike fights the reaction; for circles, cfg.smooth_interior substitutes
+    the parabolic argument (r0^2 - r^2)/(2 r0 width), which matches
+    d/width at the interface but is smooth everywhere. cfg.prep_shift
+    displaces the sigmoid outward, so the u0 = 1/2 level sits prep_shift *
+    eps outside the nominal interface (generic data for localization
+    studies never sits exactly on the limit front). The interface must
+    clear the walls by 4 cfg.d0, and {u0 > 1/2} must be one component away
+    from the boundary.
     """
-    if width <= 0:
-        raise InvalidInitialDataError("profile width must be positive")
-    X, Y = grid.meshgrid()
-    if smooth_interior:
-        if shape.kind != "circle":
-            raise InvalidInitialDataError(
-                "smooth_interior profiles are defined for circles only"
-            )
-        if front_shift:
-            raise InvalidInitialDataError(
-                "front_shift applies to the sigmoid profile only"
-            )
+    shape = cfg.shape
+    width = cfg.width if cfg.width is not None else math.sqrt(2.0) * eps
+    if cfg.smooth_interior:
+        X, Y = grid.meshgrid()
         r2 = (X - shape.center[0])**2 + (Y - shape.center[1])**2
         u0 = ScalarField(grid,
                          expit((shape.r0**2 - r2) / (2 * shape.r0 * width)))
     else:
         d = shape.signed_distance(grid)
-        u0 = ScalarField(grid, expit(-(d - front_shift) / width))
-    v0 = v0_spec.evaluate(grid)
-    m0 = m0_spec.evaluate(grid)
+        u0 = ScalarField(grid, expit(-(d - cfg.prep_shift * eps) / width))
+    v0 = cfg.v0_spec.evaluate(grid)
+    m0 = cfg.m0_spec.evaluate(grid)
     gamma0 = shape.polyline(max(1024, 8 * max(grid.nx, grid.ny)))
     gamma0 = InterfaceCurve(gamma0.points, level=0.5, grid=grid)
 
@@ -229,12 +280,11 @@ def make_initial_data(shape: ShapeSpec, width: float, v0_spec: CosineSpec,
         (gx - grid.origin[0]).min(), (grid.xmax - gx).min(),
         (gy - grid.origin[1]).min(), (grid.ymax - gy).min(),
     )
-    if clearance < 4 * d0:
+    if clearance < 4 * cfg.d0:
         raise InvalidInitialDataError(
-            f"interface clearance {clearance:.4f} below 4*d0 = {4 * d0:.4f}"
+            f"interface clearance {clearance:.4f} below 4*d0 = "
+            f"{4 * cfg.d0:.4f}"
         )
-    if np.any(v0.values < 0) or np.any(m0.values < 0):
-        raise InvalidInitialDataError("v0 and m0 must be nonnegative")
 
     labels, count = ndimage.label(u0.values > 0.5)
     if count != 1:
@@ -245,13 +295,6 @@ def make_initial_data(shape: ShapeSpec, width: float, v0_spec: CosineSpec,
     border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
     if np.any(labels[border] != 0):
         raise InvalidInitialDataError("{u0 > 1/2} touches the boundary")
-
-    if c2_bound is not None:
-        total = c2_proxy(u0) + c2_proxy(v0) + c2_proxy(m0)
-        if total > c2_bound:
-            raise InvalidInitialDataError(
-                f"C2 proxy {total:.3f} exceeds bound {c2_bound:.3f}"
-            )
     return InitialData(u0, v0, m0, gamma0)
 
 

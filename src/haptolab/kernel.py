@@ -155,13 +155,13 @@ class ChiSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChiSpec":
-        """Missing or empty coeffs take the variant's default: chi(v) = v
-        for linear and polynomial, chi = 1 for constant, log1p(v) for
-        log1p."""
-        variant = d.get("variant", "linear")
-        coeffs = tuple(d.get("coeffs", ())) or {
+        """From a dict holding every field. Empty coeffs take the variant's
+        default: chi(v) = v for linear and polynomial, chi = 1 for
+        constant, log1p(v) for log1p."""
+        variant = d["variant"]
+        coeffs = tuple(d["coeffs"]) or {
             "constant": (1.0,), "log1p": (1.0,)}.get(variant, (0.0, 1.0))
-        return cls(variant, coeffs, float(d.get("v_max", 10.0)))
+        return cls(variant, coeffs, float(d["v_max"]))
 
 
 # --- envelope constants ---------------------------------------------------

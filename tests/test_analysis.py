@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from haptolab import analysis
 from haptolab.analysis import (
     BracketReport,
     ConvergenceRecord,
@@ -206,3 +207,21 @@ class TestStudyPlumbing:
         order, diffs = refinement_order(eps=0.1, t_end=5e-4, n_base=32)
         assert diffs[0] > diffs[1] > 0
         assert order >= 1.0
+
+    def test_refinement_order_starts_from_the_runs_datum(self, monkeypatch):
+        # width and prep_shift shape u0; refinement_order must build it as
+        # diffuse_run does
+        cfg = StudyConfig(ShapeSpec("circle", (0.5, 0.5), 0.25),
+                          CosineSpec(1.0, ((1, 1, 0.2),)), CosineSpec(0.3),
+                          width=0.05, prep_shift=0.5, t_end=0.0,
+                          n_snapshots=1)
+        u0 = diffuse_run(cfg, 0.1)[0][0].u.values
+        starts = []
+
+        def recording(s0, p, t_end, snapshot_times=()):
+            starts.append(s0.u.values.copy())
+            return run_diffuse(s0, p, t_end, snapshot_times)
+
+        monkeypatch.setattr(analysis, "run_diffuse", recording)
+        refinement_order(0.1, 1e-4, 40, cfg=cfg)
+        np.testing.assert_array_equal(starts[0], u0)

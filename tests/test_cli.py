@@ -6,6 +6,7 @@ import math
 import pytest
 
 from haptolab.cli import main, normalize_config, parse_config, run_experiment
+from haptolab.diffuse import CosineSpec
 from haptolab.errors import ConfigError
 from haptolab.kernel import ChiSpec
 
@@ -41,6 +42,11 @@ class TestConfig:
                             eps_list=[0.02, 0.04])
         with pytest.raises(ConfigError, match="decreasing"):
             parse_config(path)
+
+    def test_partial_nested_object_keeps_other_defaults(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path,
+                                        m0={"modes": [[2, 0, 0.1]]}))
+        assert cfg.study.m0_spec == CosineSpec(0.3, ((2, 0, 0.1),))
 
     def test_normalize_roundtrip(self):
         data = {"kind": "diffuse", "eps": 0.1, "lam": 2.0}
@@ -155,9 +161,18 @@ class TestMain:
         {"kind": "sharp", "shape": {"center": [0.5]}},
         {"kind": "sharp", "n_snapshots": 2.5},
         {"kind": "convergence", "eps_list": [0.1, "a"]},
+        {"kind": "diffuse", "eps": 0.2, "smooth_interior": True,
+         "shape": {"kind": "star", "amp": 0.03, "k": 4}},
+        {"kind": "diffuse", "eps": 0.2, "smooth_interior": True,
+         "prep_shift": 0.5},
+        {"kind": "diffuse", "eps": 0.2, "smooth_interior": "yes"},
+        {"kind": "diffuse", "eps": 0.2, "prep_shift": "x"},
+        {"kind": "sharp", "shape": {"kind": "star", "amp": 0.03, "k": 4.7}},
     ], ids=["unknown-shape-key", "unknown-shape-kind", "tiny-n_sharp",
             "negative-width", "negative-eta", "negative-M0", "center-string",
-            "center-one-number", "fractional-n_snapshots", "eps_list-string"])
+            "center-one-number", "fractional-n_snapshots", "eps_list-string",
+            "smooth_interior-star", "smooth_interior-prep_shift",
+            "smooth_interior-string", "prep_shift-string", "fractional-k"])
     def test_exit_two_on_invalid_nested_or_value(self, tmp_path, capsys,
                                                   extra):
         path = write_config(tmp_path, **{"t_end": 1e-4, "n_snapshots": 1,
@@ -169,6 +184,21 @@ class TestMain:
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["v0", "m0"])
+    def test_negative_field_rejected_by_both_solvers(self, tmp_path, capsys,
+                                                     field):
+        results = []
+        for command, kind in (("simulate-sharp", "sharp"),
+                              ("simulate-diffuse", "diffuse")):
+            path = write_config(tmp_path, name=f"{kind}.json", kind=kind,
+                                eps=0.2, t_end=1e-4, n_snapshots=1,
+                                n_sharp=32, **{field: {"constant": -1.0}})
+            code = main([command, "--config", str(path),
+                         "--out", str(tmp_path / kind)])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0][0] == 3 and "nonnegative" in results[0][1]
 
     def test_exit_four_on_failed_assertion(self, tmp_path, capsys):
         # an absurdly small M0 marks interior points that cannot have

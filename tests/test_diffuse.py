@@ -15,6 +15,7 @@ from haptolab.diffuse import (
     DiffuseState,
     HaptoParams,
     ShapeSpec,
+    StudyConfig,
     chi_gradient,
     dt_max,
     initial_state,
@@ -79,12 +80,9 @@ class TestUniformSolutions:
 def front_state():
     grid = Grid.unit_square(64)
     shape = ShapeSpec("circle", (0.5, 0.5), 0.25)
-    data = make_initial_data(
-        shape, width=0.05,
-        v0_spec=CosineSpec(1.0, ((1, 1, 0.2),)),
-        m0_spec=CosineSpec(0.3, ((2, 0, 0.1),)),
-        grid=grid, d0=0.03,
-    )
+    cfg = StudyConfig(shape, CosineSpec(1.0, ((1, 1, 0.2),)),
+                      CosineSpec(0.3, ((2, 0, 0.1),)), width=0.05, d0=0.03)
+    data = make_initial_data(cfg, 0.08, grid)
     return initial_state(data)
 
 
@@ -177,10 +175,10 @@ class TestExactDiffusion:
 
     def test_steep_front_beyond_explicit_cap(self):
         grid = Grid.unit_square(64)
-        data = make_initial_data(
-            ShapeSpec("circle", (0.5, 0.5), 0.25), width=grid.h,
-            v0_spec=CosineSpec(1.0, ((1, 1, 0.5),)),
-            m0_spec=CosineSpec(0.3), grid=grid)
+        cfg = StudyConfig(ShapeSpec("circle", (0.5, 0.5), 0.25),
+                          CosineSpec(1.0, ((1, 1, 0.5),)), CosineSpec(0.3),
+                          width=grid.h)
+        data = make_initial_data(cfg, 0.04, grid)
         p = HaptoParams(eps=0.04, lam=1.0, alpha=1.0, chi=ChiSpec.identity())
         s = initial_state(data)
         for _ in range(50):
@@ -236,24 +234,25 @@ class TestInitialData:
     def test_clearance_rejected(self):
         grid = Grid.unit_square(32)
         with pytest.raises(InvalidInitialDataError, match="clearance"):
-            make_initial_data(ShapeSpec("circle", (0.5, 0.5), 0.45), 0.05,
-                              CosineSpec(), CosineSpec(), grid, d0=0.04)
+            make_initial_data(
+                StudyConfig(ShapeSpec("circle", (0.5, 0.5), 0.45),
+                            CosineSpec(), CosineSpec(), width=0.05, d0=0.04),
+                0.04, grid)
 
     def test_negative_matrix_rejected(self):
         grid = Grid.unit_square(32)
         with pytest.raises(InvalidInitialDataError, match="nonnegative"):
-            make_initial_data(ShapeSpec(), 0.05, CosineSpec(0.1, ((1, 1, 0.5),)),
-                              CosineSpec(), grid)
+            make_initial_data(
+                StudyConfig(ShapeSpec(), CosineSpec(0.1, ((1, 1, 0.5),)),
+                            CosineSpec(), width=0.05),
+                0.04, grid)
 
-    def test_star_shape_and_c2_bound(self):
+    def test_star_shape(self):
         grid = Grid.unit_square(64)
         shape = ShapeSpec("star", (0.5, 0.5), 0.22, amp=0.04, k=5)
-        data = make_initial_data(shape, 0.04, CosineSpec(1.0), CosineSpec(0.5),
-                                 grid, d0=0.03)
-        assert data.gamma0.is_simple()
-        with pytest.raises(InvalidInitialDataError, match="C2 proxy"):
-            make_initial_data(shape, 0.04, CosineSpec(1.0), CosineSpec(0.5),
-                              grid, d0=0.03, c2_bound=1.0)
+        cfg = StudyConfig(shape, CosineSpec(1.0), CosineSpec(0.5),
+                          width=0.04, d0=0.03)
+        assert make_initial_data(cfg, 0.04, grid).gamma0.is_simple()
 
     @pytest.mark.parametrize("shape, n", [
         (ShapeSpec("star", (0.5, 0.5), 0.22, amp=0.04, k=5), 64),
@@ -268,8 +267,8 @@ class TestInitialData:
                               shape.polyline(4096))
         inside = np.hypot(x, y) < shape.radius(np.arctan2(y, x))
         sd = np.where(inside, -d, d).reshape(X.shape)
-        data = make_initial_data(shape, 0.04, CosineSpec(1.0),
-                                 CosineSpec(0.5), grid)
+        cfg = StudyConfig(shape, CosineSpec(1.0), CosineSpec(0.5), width=0.04)
+        data = make_initial_data(cfg, 0.04, grid)
         np.testing.assert_array_equal(data.u0.values, expit(-sd / 0.04))
 
     def test_roundtrip_dicts(self):

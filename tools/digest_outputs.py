@@ -8,10 +8,12 @@ Run from the root of a source checkout; haptolab is imported from its
 runs one first solve at seed 1, as the benchmark does, and hashes every
 snapshot's t and fields: phi or u, then v, m and int_m. It then runs the
 CLI's `simulate-sharp` and `compare` on small circle configs,
-`simulate-diffuse` on a circle with constant chi (no drift), and
-`simulate-diffuse` and `simulate-sharp` on a star, and hashes every artifact
-they write except manifest.json, which holds the wall time. Two checkouts
-whose outputs agree print the same lines.
+`simulate-diffuse` on a circle with constant chi (no drift) and on one with
+a shifted layer (prep_shift), `simulate-diffuse` and `simulate-sharp` on a
+star, and `generation` on a smooth-interior circle, and hashes every
+artifact they write except manifest.json, which holds the wall time. Last
+it hashes the differences that `refinement_order(0.1, 5e-4, 32)` returns.
+Two checkouts whose outputs agree print the same lines.
 """
 from __future__ import annotations
 
@@ -45,6 +47,12 @@ CLI_CONFIGS = {
                               "n_snapshots": 2, "shape": STAR},
     "simulate-sharp star": {"kind": "sharp", "eps": 0.05, "t_end": 0.002,
                             "n_snapshots": 2, "n_sharp": 64, "shape": STAR},
+    "simulate-diffuse prep_shift": {"kind": "diffuse", "eps": 0.1,
+                                    "t_end": 0.002, "n_snapshots": 2,
+                                    "prep_shift": 0.5},
+    "generation smooth_interior": {"kind": "generation", "eps": 0.1,
+                                   "t_end": 0.002, "n_snapshots": 2,
+                                   "width": 0.1, "smooth_interior": True},
 }
 
 
@@ -86,6 +94,10 @@ def main() -> None:
     for name, config in CLI_CONFIGS.items():
         for fname, digest in cli_digests(name, config):
             print(f"{name} {fname}: {digest}", flush=True)
+    from haptolab.analysis import refinement_order
+    diffs = np.array(refinement_order(0.1, 5e-4, 32)[1])
+    print("refinement_order(0.1, 5e-4, 32) diffs: "
+          f"{hashlib.sha256(diffs.tobytes()).hexdigest()}", flush=True)
 
 
 if __name__ == "__main__":
