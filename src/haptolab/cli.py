@@ -32,7 +32,7 @@ from .curves import extract_level_curve, write_curve
 from .diffuse import CosineSpec, ShapeSpec
 from .errors import ConfigError, HaptolabError
 from .grid import write_snapshot
-from .kernel import ChiSpec, solve_profile_bvp, standing_profile
+from .kernel import ChiSpec, is_number, solve_profile_bvp, standing_profile
 
 KINDS = ("diffuse", "sharp", "compare", "generation", "convergence",
          "profile")
@@ -87,7 +87,7 @@ def normalize_config(data: dict) -> dict:
             raise ConfigError(f"unknown {key} keys: {', '.join(unknown)}")
         merged[key] = {**default, **merged[key]}
     for key in ("eps", "t_end", "M0", "eta"):
-        if not (isinstance(merged[key], (int, float)) and merged[key] > 0):
+        if not (is_number(merged[key]) and merged[key] > 0):
             raise ConfigError(f"{key} must be a positive number")
     if merged["eta"] >= 0.25:
         raise ConfigError("eta must lie in (0, 1/4)")
@@ -99,7 +99,7 @@ def normalize_config(data: dict) -> dict:
     if merged["kind"] == "convergence":
         lst = merged["eps_list"]
         if not (isinstance(lst, list) and lst and all(
-                isinstance(e, (int, float)) and e > 0 for e in lst)):
+                is_number(e) and e > 0 for e in lst)):
             raise ConfigError("convergence runs need eps_list, a list of "
                               "positive numbers")
         if any(b >= a for a, b in zip(lst, lst[1:])):

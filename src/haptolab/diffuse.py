@@ -12,7 +12,6 @@ CFL bounds the step.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from .grid import (
     heat_neumann,
     helmholtz_solve_neumann,
 )
-from .kernel import ChiSpec, f_bistable
+from .kernel import ChiSpec, f_bistable, is_number
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,13 @@ class ShapeSpec:
         if self.kind not in ("circle", "star"):
             raise ValueError(f"unknown shape kind {self.kind!r}")
         if len(self.center) != 2 or not all(
-                isinstance(c, (int, float)) for c in self.center):
+                is_number(c) for c in self.center):
             raise ValueError("shape center must be two numbers")
+        if not (is_number(self.r0) and is_number(self.amp)):
+            raise ValueError("shape r0 and amp must be numbers")
         if self.r0 <= 0 or self.r0 - abs(self.amp) <= 0:
             raise ValueError("shape radius must stay positive")
-        if not isinstance(self.k, numbers.Integral):
+        if not is_number(self.k, integer=True):
             raise ValueError(f"shape k must be an integer, got {self.k!r}")
 
     def radius(self, theta):
@@ -133,8 +134,7 @@ class ShapeSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ShapeSpec":
         """From a dict holding every field, as `to_dict` writes it."""
-        return cls(d["kind"], tuple(d["center"]), float(d["r0"]),
-                   float(d["amp"]), d["k"])
+        return cls(d["kind"], tuple(d["center"]), d["r0"], d["amp"], d["k"])
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,17 @@ class CosineSpec:
 
     constant: float = 1.0
     modes: tuple[tuple[int, int, float], ...] = ()
+
+    def __post_init__(self):
+        if not is_number(self.constant):
+            raise ValueError("a field's constant must be a number")
+        for mode in self.modes:
+            if not (len(mode) == 3 and is_number(mode[0], integer=True)
+                    and is_number(mode[1], integer=True)
+                    and is_number(mode[2])):
+                raise ValueError(
+                    f"a mode must be [i, j, amplitude] with integer i and "
+                    f"j, got {list(mode)!r}")
 
     def evaluate(self, grid: Grid) -> ScalarField:
         """The field at the cell centers. It is an initial v0 or m0 for
@@ -168,8 +179,7 @@ class CosineSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "CosineSpec":
         """From a dict holding every field, as `to_dict` writes it."""
-        return cls(float(d["constant"]),
-                   tuple((int(i), int(j), float(a)) for i, j, a in d["modes"]))
+        return cls(d["constant"], tuple(tuple(m) for m in d["modes"]))
 
 
 @dataclass
@@ -215,16 +225,16 @@ class StudyConfig:
             () if self.width is None else ("width",))
         for name in positive:
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
+            if not (is_number(value) and value > 0):
                 raise ValueError(f"{name} must be a positive number")
-        if not (isinstance(self.t_end, numbers.Real) and self.t_end >= 0):
+        if not (is_number(self.t_end) and self.t_end >= 0):
             raise ValueError("t_end must be a nonnegative number")
         for name, least in (("n_sharp", 8), ("n_snapshots", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if not (is_number(value, integer=True) and value >= least):
                 raise ValueError(
                     f"{name} must be an integer of at least {least}")
-        if not isinstance(self.prep_shift, numbers.Real):
+        if not is_number(self.prep_shift):
             raise ValueError("prep_shift must be a number")
         if not isinstance(self.smooth_interior, bool):
             raise ValueError("smooth_interior must be true or false")

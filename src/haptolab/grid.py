@@ -6,6 +6,7 @@ wall vanishes identically.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,10 +159,17 @@ def interpolate_bilinear(f: ScalarField, p) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _mirror_eigenvalues(n: int, h: float) -> np.ndarray:
-    """Eigenvalues of the 1-D mirror-ghost second difference, one per
-    cosine mode k."""
-    return (2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0) / h**2
+@functools.lru_cache(maxsize=8)
+def _laplacian_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of the 5-point mirror-ghost Laplacian on grid, one per
+    tensor cosine mode: the sum of the 1-D second difference's
+    (2 cos(pi k / n) - 2) / h^2 on each axis. Built once per grid (Grid
+    is frozen, so it keys the cache) and read-only."""
+    lx, ly = ((2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0) / grid.h**2
+              for n in (grid.nx, grid.ny))
+    lam = lx[:, None] + ly[None, :]
+    lam.flags.writeable = False
+    return lam
 
 
 def _in_cosine_basis(f: ScalarField, act) -> ScalarField:
@@ -179,9 +187,7 @@ def _in_cosine_basis(f: ScalarField, act) -> ScalarField:
     # should not pay when they import haptolab.
     from scipy import fft
     grid = f.grid
-    lam = (_mirror_eigenvalues(grid.nx, grid.h)[:, None]
-           + _mirror_eigenvalues(grid.ny, grid.h)[None, :])
-    coef = act(fft.dctn(f.values, type=2), lam)
+    coef = act(fft.dctn(f.values, type=2), _laplacian_eigenvalues(grid))
     # coef is dctn's own array, never the caller's f.values
     return ScalarField(grid, fft.idctn(coef, type=2, overwrite_x=True))
 

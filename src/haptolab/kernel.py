@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -102,6 +103,14 @@ def solve_profile_bvp(half_width: float, n: int, tol: float = 1e-13,
 
 # --- haptotaxis sensitivity ----------------------------------------------
 
+def is_number(x, integer: bool = False) -> bool:
+    """Whether x is a real number (an integer, if integer) and not a
+    bool: Python counts True as the integer 1, but a config's true is no
+    number. Every config record checks its numbers with it."""
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ChiSpec:
     """Smooth sensitivity chi(v) with chi > 0, chi' > 0 on (0, v_max].
@@ -117,6 +126,9 @@ class ChiSpec:
     def __post_init__(self):
         if self.variant not in ("linear", "log1p", "polynomial", "constant"):
             raise ValueError(f"unknown chi variant {self.variant!r}")
+        if not (is_number(self.v_max) and self.v_max > 0
+                and all(is_number(c) for c in self.coeffs)):
+            raise ValueError("chi needs numeric coeffs and a positive v_max")
         v = np.linspace(self.v_max / 1000.0, self.v_max, 1000)
         if np.any(self.chi(v) <= 0):
             raise ValueError("chi must be positive on (0, v_max]")
@@ -161,7 +173,7 @@ class ChiSpec:
         variant = d["variant"]
         coeffs = tuple(d["coeffs"]) or {
             "constant": (1.0,), "log1p": (1.0,)}.get(variant, (0.0, 1.0))
-        return cls(variant, coeffs, float(d["v_max"]))
+        return cls(variant, coeffs, d["v_max"])
 
 
 # --- envelope constants ---------------------------------------------------

@@ -34,7 +34,6 @@ from .errors import (
 from .grid import (
     Grid,
     ScalarField,
-    _pad_mirror,
     gradient_centered,
 )
 
@@ -80,46 +79,85 @@ def init_levelset(curve: InterfaceCurve, grid: Grid, v0: ScalarField,
                       v_init=v0.copy(), d0=d0)
 
 
+def _band_stencil(values: np.ndarray, band: np.ndarray):
+    """Where the band's stencils read: the mirror-padded grid, raveled (a
+    ghost cell equals its neighbour inside the grid, as
+    np.pad(mode="edge")), the flat indices k of the band cells in it, in
+    the order of values[band], and its row stride s = ny + 2. The
+    neighbours (i +- 1, j) of a cell sit at k +- s, and (i, j +- 1) at
+    k +- 1."""
+    nx, ny = values.shape
+    p = np.empty((nx + 2, ny + 2))
+    p[1:-1, 1:-1] = values
+    p[0, 1:-1] = values[0]
+    p[-1, 1:-1] = values[-1]
+    p[:, 0] = p[:, 1]
+    p[:, -1] = p[:, -2]
+    idx = np.flatnonzero(band)   # i ny + j
+    # (i + 1)(ny + 2) + j + 1, the same cell in the padded grid
+    return p.ravel(), idx + 2 * (idx // ny) + ny + 3, ny + 2
+
+
 def curvature_term(phi: ScalarField, band: np.ndarray) -> np.ndarray:
     """(N-1) kappa |grad phi| on the masked band via the quotient formula
-    div(grad phi / |grad phi|) |grad phi|."""
+    div(grad phi / |grad phi|) |grad phi|.
+
+    The nine-point stencils are evaluated on the band cells only, gathered
+    by flat index from the mirror-padded phi (`_band_stencil`); the result
+    is scattered into a full grid that is zero off the band.
+    """
     h = phi.grid.h
-    p = _pad_mirror(phi.values)
-    px = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2 * h)
-    py = (p[1:-1, 2:] - p[1:-1, :-2]) / (2 * h)
-    pxx = (p[2:, 1:-1] - 2 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / h**2
-    pyy = (p[1:-1, 2:] - 2 * p[1:-1, 1:-1] + p[1:-1, :-2]) / h**2
-    pxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4 * h**2)
+    p, k, s = _band_stencil(phi.values, band)
+    c, xp, xm, yp, ym = (p[k + o] for o in (0, s, -s, 1, -1))
+    px = (xp - xm) / (2 * h)
+    py = (yp - ym) / (2 * h)
+    pxx = (xp - 2 * c + xm) / h**2
+    pyy = (yp - 2 * c + ym) / h**2
+    pxy = (p[k + s + 1] - p[k + s - 1] - p[k - s + 1]
+           + p[k - s - 1]) / (4 * h**2)
     g2 = px**2 + py**2
-    if np.any(g2[band] < 1e-12):
+    if np.any(g2 < 1e-12):
         raise DegenerateLevelSetError(
             "level-set gradient collapsed inside the band; redistance"
         )
     num = pxx * py**2 - 2 * px * py * pxy + pyy * px**2
-    out = np.zeros_like(phi.values)
-    out[band] = num[band] / g2[band]
     # the quotient formula blows up at interior extrema of phi (centers of
     # shrinking blobs); cap curvature at 1/h, the finest the grid resolves
-    lim = np.sqrt(g2[band]) / h
-    out[band] = np.clip(out[band], -lim, lim)
+    lim = np.sqrt(g2) / h
+    out = np.zeros_like(phi.values)
+    out[band] = np.clip(num / g2, -lim, lim)
     return out
 
 
 def _upwind_advection(phi: np.ndarray, w, h: float,
                       band: np.ndarray) -> np.ndarray:
-    """w . grad phi with first-order upwinding on the band; w = (wx, wy)."""
-    wx, wy = w
-    p = _pad_mirror(phi)
-    dxm = (p[1:-1, 1:-1] - p[:-2, 1:-1]) / h
-    dxp = (p[2:, 1:-1] - p[1:-1, 1:-1]) / h
-    dym = (p[1:-1, 1:-1] - p[1:-1, :-2]) / h
-    dyp = (p[1:-1, 2:] - p[1:-1, 1:-1]) / h
+    """w . grad phi with first-order upwinding on the band; w = (wx, wy).
+
+    The one-sided differences are evaluated on the band cells only, as in
+    `curvature_term`; the result is zero off the band."""
+    p, k, s = _band_stencil(phi, band)
+    wx, wy = w[0][band], w[1][band]
+    c = p[k]
+    dx = np.where(wx > 0, c - p[k - s], p[k + s] - c) / h
+    dy = np.where(wy > 0, c - p[k - 1], p[k + 1] - c) / h
     out = np.zeros_like(phi)
-    out[band] = (
-        np.where(wx > 0, dxm, dxp)[band] * wx[band]
-        + np.where(wy > 0, dym, dyp)[band] * wy[band]
-    )
+    out[band] = dx * wx + dy * wy
     return out
+
+
+def _band_gradient_norm(phi: np.ndarray, band: np.ndarray,
+                        h: float) -> np.ndarray:
+    """|grad phi| on the band cells, in the order of phi[band], equal to
+    np.hypot(*np.gradient(phi, h, edge_order=1))[band]: centered
+    differences inside, one-sided on the wall ring. At a wall the ghost
+    equals the cell next to it, so the padded difference there is the
+    one-sided one and only its divisor changes from 2h to h."""
+    nx, ny = phi.shape
+    p, k, s = _band_stencil(phi, band)
+    i, j = np.divmod(k, s)
+    dx = np.where((i == 1) | (i == nx), h, 2. * h)
+    dy = np.where((j == 1) | (j == ny), h, 2. * h)
+    return np.hypot((p[k + s] - p[k - s]) / dx, (p[k + 1] - p[k - 1]) / dy)
 
 
 def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
@@ -235,6 +273,11 @@ def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
     so a fixed cadence with dt ~ h^2 would accumulate an O(1) bias, and
     drift farther from the front is harmless. s0 itself is checked, not
     redistanced.
+
+    The step's curvature and drift stencils and the pass's |grad phi| are
+    evaluated on the cells they are read on only (`curvature_term`,
+    `_upwind_advection`, `_band_gradient_norm`), with the full-grid
+    formulas' values, bit for bit.
     """
     grid = s0.phi.grid
     margin = 4 * s0.d0
@@ -250,9 +293,7 @@ def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
             raise InterfaceExtinct(f"front vanished by t = {s.t:.6g}")
         front = front_cells(phi)
         if fix_drift:
-            gx, gy = gradient_centered(s.phi)
-            band = _grow(front, 3)
-            mag = np.hypot(gx[band], gy[band])
+            mag = _band_gradient_norm(phi, _grow(front, 3), grid.h)
             if mag.min() < 0.7 or mag.max() > 1.5:
                 s = redistance(s)
                 front = front_cells(s.phi.values)

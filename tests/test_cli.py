@@ -48,6 +48,30 @@ class TestConfig:
                                         m0={"modes": [[2, 0, 0.1]]}))
         assert cfg.study.m0_spec == CosineSpec(0.3, ((2, 0, 0.1),))
 
+    @pytest.mark.parametrize("extra", [
+        {"lam": True}, {"alpha": True}, {"d0": True}, {"width": True},
+        {"t_end": True}, {"eps": True}, {"M0": True},
+        {"n_snapshots": True}, {"prep_shift": True},
+        {"kind": "convergence", "eps_list": [True, 0.5]},
+        {"shape": {"center": [True, 0.5]}}, {"shape": {"r0": True}},
+        {"shape": {"kind": "star", "r0": 1.5, "amp": True, "k": 4}},
+        {"shape": {"kind": "star", "amp": 0.03, "k": True}},
+        {"v0": {"constant": True}}, {"m0": {"modes": [[True, 0, 0.1]]}},
+        {"v0": {"modes": [[1, 0, True]]}}, {"chi": {"v_max": True}},
+        {"chi": {"coeffs": [0.0, True]}},
+    ])
+    def test_booleans_are_not_numbers(self, tmp_path, extra):
+        # Python counts true as 1, so every numeric check must exclude it
+        with pytest.raises(ConfigError):
+            parse_config(write_config(tmp_path, **extra))
+
+    @pytest.mark.parametrize("mode", [[1.5, 0, 0.1], [1, 2.0, 0.1],
+                                      [1, 0], ["1", 0, 0.1]])
+    def test_mode_index_must_be_an_integer(self, tmp_path, mode):
+        # a fractional index used to be truncated to the mode below it
+        with pytest.raises(ConfigError, match="integer"):
+            parse_config(write_config(tmp_path, v0={"modes": [mode]}))
+
     def test_normalize_roundtrip(self):
         data = {"kind": "diffuse", "eps": 0.1, "lam": 2.0}
         once = normalize_config(data)
@@ -168,11 +192,14 @@ class TestMain:
         {"kind": "diffuse", "eps": 0.2, "smooth_interior": "yes"},
         {"kind": "diffuse", "eps": 0.2, "prep_shift": "x"},
         {"kind": "sharp", "shape": {"kind": "star", "amp": 0.03, "k": 4.7}},
+        {"kind": "sharp", "v0": {"modes": [[1.5, 0, 0.1]]}},
+        {"kind": "sharp", "n_snapshots": True},
     ], ids=["unknown-shape-key", "unknown-shape-kind", "tiny-n_sharp",
             "negative-width", "negative-eta", "negative-M0", "center-string",
             "center-one-number", "fractional-n_snapshots", "eps_list-string",
             "smooth_interior-star", "smooth_interior-prep_shift",
-            "smooth_interior-string", "prep_shift-string", "fractional-k"])
+            "smooth_interior-string", "prep_shift-string", "fractional-k",
+            "fractional-mode-index", "boolean-n_snapshots"])
     def test_exit_two_on_invalid_nested_or_value(self, tmp_path, capsys,
                                                   extra):
         path = write_config(tmp_path, **{"t_end": 1e-4, "n_snapshots": 1,

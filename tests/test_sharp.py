@@ -1,6 +1,7 @@
 """Tests for the level-set front tracker: signed distances, the shrinking
 circle against its closed-form radius, stationary flat fronts, the area
-decay law, and redistancing behaviour."""
+decay law, redistancing behaviour, and the band-only stencils against the
+full-grid formulas."""
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from haptolab.curves import circle_polyline, extract_level_curve
 from haptolab.diffuse import HaptoParams
 from haptolab.errors import (
     BoundaryContactError,
+    DegenerateLevelSetError,
     InterfaceExtinct,
     InvalidCurveError,
 )
@@ -22,8 +24,10 @@ from haptolab.grid import Grid, ScalarField
 from haptolab.kernel import ChiSpec
 from haptolab.sharp import (
     SharpState,
+    _band_gradient_norm,
     _clamp,
     _grow,
+    _upwind_advection,
     curvature_term,
     front_cells,
     init_levelset,
@@ -265,3 +269,96 @@ class TestRedistance:
         exact = 1.0 / rr  # times |grad phi| = 1
         err = np.abs(k[band] - exact[band]).max()
         assert err < 0.05
+
+
+class TestBandStencils:
+    """The band-only stencils against the full-grid formulas they replace,
+    kept here as the oracle: evaluate on the mirror-padded grid, then mask."""
+
+    @staticmethod
+    def full_curvature(phi, h, band):
+        p = np.pad(phi, 1, mode="edge")
+        px = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2 * h)
+        py = (p[1:-1, 2:] - p[1:-1, :-2]) / (2 * h)
+        pxx = (p[2:, 1:-1] - 2 * p[1:-1, 1:-1] + p[:-2, 1:-1]) / h**2
+        pyy = (p[1:-1, 2:] - 2 * p[1:-1, 1:-1] + p[1:-1, :-2]) / h**2
+        pxy = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) / (4 * h**2)
+        g2 = px**2 + py**2
+        if np.any(g2[band] < 1e-12):
+            return None
+        num = pxx * py**2 - 2 * px * py * pxy + pyy * px**2
+        out = np.zeros_like(phi)
+        out[band] = num[band] / g2[band]
+        lim = np.sqrt(g2[band]) / h
+        out[band] = np.clip(out[band], -lim, lim)
+        return out
+
+    @staticmethod
+    def full_upwind(phi, w, h, band):
+        wx, wy = w
+        p = np.pad(phi, 1, mode="edge")
+        dxm = (p[1:-1, 1:-1] - p[:-2, 1:-1]) / h
+        dxp = (p[2:, 1:-1] - p[1:-1, 1:-1]) / h
+        dym = (p[1:-1, 1:-1] - p[1:-1, :-2]) / h
+        dyp = (p[1:-1, 2:] - p[1:-1, 1:-1]) / h
+        out = np.zeros_like(phi)
+        out[band] = (np.where(wx > 0, dxm, dxp)[band] * wx[band]
+                     + np.where(wy > 0, dym, dyp)[band] * wy[band])
+        return out
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        # nx != ny on most draws, so a wrong row stride shows; the wall
+        # ring is forced into half the masks
+        nx, ny = draw(st.integers(8, 14)), draw(st.integers(8, 14))
+        values = st.floats(-1.0, 1.0, width=64)
+        phi, wx, wy = (draw(arrays(float, (nx, ny), elements=values))
+                       for _ in range(3))
+        band = draw(arrays(bool, (nx, ny)))
+        if draw(st.booleans()):
+            band[[0, -1], :] = band[:, [0, -1]] = True
+        h = draw(st.sampled_from([1.0 / nx, 0.37, 1e-3]))
+        return phi, (wx, wy), h, band
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cases())
+    def test_curvature_matches_full_grid(self, case):
+        phi, _, h, band = case
+        nx, ny = phi.shape
+        field = ScalarField(Grid(nx, ny, h), phi)
+        expected = self.full_curvature(phi, h, band)
+        if expected is None:
+            with pytest.raises(DegenerateLevelSetError):
+                curvature_term(field, band)
+        else:
+            np.testing.assert_array_equal(curvature_term(field, band),
+                                          expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cases())
+    def test_upwind_matches_full_grid(self, case):
+        phi, w, h, band = case
+        np.testing.assert_array_equal(_upwind_advection(phi, w, h, band),
+                                      self.full_upwind(phi, w, h, band))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cases())
+    def test_gradient_norm_matches_np_gradient(self, case):
+        # np.gradient's one-sided differences on the wall ring included
+        phi, _, h, band = case
+        gx, gy = np.gradient(phi, h, edge_order=1)
+        np.testing.assert_array_equal(_band_gradient_norm(phi, band, h),
+                                      np.hypot(gx, gy)[band])
+
+    def test_collapsed_gradient_in_band_raises(self):
+        # a plateau of phi: zero gradient at its centre, which is in the
+        # band on the second call only
+        grid = Grid(12, 9, 0.1)
+        X, Y = grid.meshgrid()
+        phi = ScalarField(grid, np.maximum(np.hypot(X - 0.6, Y - 0.45), 0.2))
+        band = np.abs(phi.values - 0.35) < 0.1
+        assert np.all(np.isfinite(curvature_term(phi, band)))
+        band[6, 4] = True
+        with pytest.raises(DegenerateLevelSetError):
+            curvature_term(phi, band)

@@ -11,9 +11,11 @@ CLI's `simulate-sharp` and `compare` on small circle configs,
 `simulate-diffuse` on a circle with constant chi (no drift) and on one with
 a shifted layer (prep_shift), `simulate-diffuse` and `simulate-sharp` on a
 star, and `generation` on a smooth-interior circle, and hashes every
-artifact they write except manifest.json, which holds the wall time. Last
-it hashes the differences that `refinement_order(0.1, 5e-4, 32)` returns.
-Two checkouts whose outputs agree print the same lines.
+artifact they write except manifest.json, which holds the wall time. It
+hashes the differences that `refinement_order(0.1, 5e-4, 32)` returns.
+Last it runs `run_sharp` on a front of two components with linear chi
+(`two_front_digest`). Two checkouts whose outputs agree print the same
+lines.
 """
 from __future__ import annotations
 
@@ -72,6 +74,29 @@ def workload_digest(name: str) -> str:
     return state_digest(wl.solve(wl.setup(), first=True))
 
 
+def two_front_digest() -> str:
+    """run_sharp on two disjoint clamped circles at n = 128, radius 0.12
+    about (0.3, 0.3) and 0.1 about (0.7, 0.7), with linear chi and
+    v0 = 1 + 0.2 cos(pi x) cos(pi y), so the upwind drift acts on both
+    loops. phi is scaled by 2, so the first step's front pass redistances
+    both loops; then about 200 steps to t = 2e-3, one snapshot between."""
+    from haptolab.diffuse import HaptoParams
+    from haptolab.grid import Grid, ScalarField
+    from haptolab.kernel import ChiSpec
+    from haptolab.sharp import SharpState, _clamp, run_sharp
+    grid = Grid.unit_square(128)
+    X, Y = grid.meshgrid()
+    d0 = 0.04
+    dist = np.minimum(np.hypot(X - 0.3, Y - 0.3) - 0.12,
+                      np.hypot(X - 0.7, Y - 0.7) - 0.1)
+    phi = ScalarField(grid, 2.0 * _clamp(dist, d0))
+    v0 = ScalarField(grid, 1.0 + 0.2 * np.cos(np.pi * X) * np.cos(np.pi * Y))
+    s0 = SharpState(phi, v0, ScalarField.full(grid, 0.3),
+                    ScalarField.full(grid, 0.0), 0.0, v0.copy(), d0)
+    p = HaptoParams(eps=0.05, lam=1.0, alpha=1.0, chi=ChiSpec.identity())
+    return state_digest(run_sharp(s0, p, 2e-3, snapshot_times=(1e-3,)))
+
+
 def cli_digests(name: str, config: dict) -> list[tuple[str, str]]:
     from haptolab.cli import main
     command = name.split()[0]
@@ -98,6 +123,7 @@ def main() -> None:
     diffs = np.array(refinement_order(0.1, 5e-4, 32)[1])
     print("refinement_order(0.1, 5e-4, 32) diffs: "
           f"{hashlib.sha256(diffs.tobytes()).hexdigest()}", flush=True)
+    print(f"run_sharp two fronts: {two_front_digest()}", flush=True)
 
 
 if __name__ == "__main__":
