@@ -9,11 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    extract_level_curve,
-    one_sided_sup_distance,
-    signed_distance_to_loop,
-)
+from .curves import extract_level_curve, one_sided_sup_distance
 from .diffuse import (
     CosineSpec,
     DiffuseState,
@@ -40,7 +36,7 @@ from .kernel import (
     f_bistable,
     standing_profile,
 )
-from .sharp import _clamp, init_levelset, run_sharp
+from .sharp import clamped_signed_distance, init_levelset, run_sharp
 
 MU = 0.25  # linearization rate of the reaction at the unstable root
 
@@ -307,8 +303,7 @@ def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants
         d_snap = next(s for s in snaps if abs(s.t - t) < 1e-12)
         s_snap = sharp_by_t[round(t, 12)]
         front = extract_level_curve(s_snap.phi, 0.0)
-        dist = signed_distance_to_loop(front, grid)
-        d_field = ScalarField(grid, _clamp(dist.values, c.d0))
+        d_field = clamped_signed_distance(front, grid, c.d0)
         lo = envelope_fields(d_field, t, eps, c, -1)
         hi = envelope_fields(d_field, t, eps, c, +1)
         _, q = envelope_p_q(t, eps, c)

@@ -69,8 +69,9 @@ class RunConfig:
 
 def normalize_config(data: dict) -> dict:
     """Fill in the defaults and check what no record owns: the keys, the
-    run's kind, eps, eps_list, eta, M0, a positive t_end, and compare's
-    circle and constant chi. The records check the rest (parse_config)."""
+    run's kind, eps, eta, M0, a positive t_end, compare's circle and
+    constant chi, and eps_list, which only convergence runs may give. The
+    records check the rest (parse_config)."""
     unknown = sorted(set(data) - set(_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -104,6 +105,9 @@ def normalize_config(data: dict) -> dict:
                               "positive numbers")
         if any(b >= a for a, b in zip(lst, lst[1:])):
             raise ConfigError("eps_list must be strictly decreasing")
+    elif merged["eps_list"] is not None:
+        raise ConfigError(f"eps_list is read by convergence runs only, "
+                          f"not by kind {merged['kind']}")
     return merged
 
 

@@ -8,16 +8,16 @@ enzymes of the limiting occupancy (the indicator of the inside region).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .curves import (
     InterfaceCurve,
+    crossing_number_inside,
     distance_to_curve,
     extract_level_curve,
-    signed_distance_to_loop,
 )
 from .diffuse import (
     HaptoParams,
@@ -31,12 +31,9 @@ from .errors import (
     DegenerateLevelSetError,
     EmptyLevelSetError,
     InterfaceExtinct,
+    InvalidCurveError,
 )
-from .grid import (
-    Grid,
-    ScalarField,
-    gradient_centered,
-)
+from .grid import Grid, ScalarField
 
 
 @dataclass
@@ -71,10 +68,43 @@ def _clamp(values: np.ndarray, d0: float) -> np.ndarray:
     return np.sign(values) * out
 
 
+def _clamped_distance(points: np.ndarray, curve: InterfaceCurve,
+                      neg: np.ndarray, d0: float) -> np.ndarray:
+    """_clamp of the distance from points to the curve's loops, negated
+    where neg is set, computed only where it can fall below the clamp's
+    saturation at 3 d0.
+
+    A point within 3 d0 of a segment has an end vertex within
+    sqrt((3 d0)^2 + (L_max/2)^2) (distance_to_curve's bound), so the
+    points farther from every vertex get inf, which _clamp maps to +-3 d0
+    as it does any distance >= 3 d0. The 1e-9 keeps a point whose rounded
+    distance could land just below 3 d0."""
+    a, b = curve.segments()
+    reach = np.sqrt((3 * d0)**2 * (1 + 1e-9)
+                    + 0.25 * np.max(np.sum((b - a)**2, axis=1)))
+    d, _ = cKDTree(a).query(points, distance_upper_bound=reach)
+    close = np.isfinite(d)
+    d[close] = distance_to_curve(points[close], curve)
+    return _clamp(np.where(neg, -d, d), d0)
+
+
+def clamped_signed_distance(curve: InterfaceCurve, grid: Grid,
+                            d0: float) -> ScalarField:
+    """_clamp(signed_distance_to_loop(curve, grid).values, d0), bit for
+    bit: the same simplicity check and even-odd sign, with exact distances
+    only for the cells the clamp does not saturate."""
+    if not curve.is_simple():
+        raise InvalidCurveError("interface polyline self-intersects")
+    X, Y = grid.meshgrid()
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    inside = crossing_number_inside(pts, curve)
+    return ScalarField(grid, _clamped_distance(pts, curve, inside, d0)
+                       .reshape(X.shape))
+
+
 def init_levelset(curve: InterfaceCurve, grid: Grid, v0: ScalarField,
                   m0: ScalarField, d0: float = 0.04) -> SharpState:
-    phi = signed_distance_to_loop(curve, grid)
-    phi = ScalarField(grid, _clamp(phi.values, d0))
+    phi = clamped_signed_distance(curve, grid, d0)
     return SharpState(phi=phi, v=v0.copy(), m=m0.copy(),
                       int_m=ScalarField.full(grid, 0.0), t=0.0,
                       v_init=v0.copy(), d0=d0)
@@ -243,8 +273,7 @@ def redistance(s: SharpState) -> SharpState:
     the front position they encode is never replaced by a polyline
     projection, which would bias the motion. All other cells are rebuilt
     from the exact distance to the nearest loop of the extracted zero
-    contour and then clamped; the distance is computed only where it can
-    fall below the clamp's saturation at 3 d0.
+    contour and then clamped (`_clamped_distance`).
     """
     grid = s.phi.grid
     phi = s.phi.values
@@ -255,33 +284,14 @@ def redistance(s: SharpState) -> SharpState:
             f"zero level set vanished at t = {s.t:.6g}"
         ) from exc
 
-    gx, gy = gradient_centered(s.phi)
-    gmag = np.clip(np.hypot(gx, gy), 0.25, 4.0)
-
     near = front_cells(phi, widen=1)
+    gmag = np.clip(_band_gradient_norm(phi, near, grid.h), 0.25, 4.0)
     X, Y = grid.meshgrid()
-    far_pts = np.stack([X[~near], Y[~near]], axis=1)
-    new = phi / gmag
-    if far_pts.size:
-        # A point within 3 d0 of a segment has an end vertex within
-        # sqrt((3 d0)^2 + (L_max/2)^2) (distance_to_curve's bound), so the
-        # points farther from every vertex get inf, which _clamp maps to
-        # +-3 d0 as it does any distance >= 3 d0. The 1e-9 keeps a point
-        # whose rounded distance could land just below 3 d0.
-        a, b = curve.segments()
-        reach = np.sqrt((3 * s.d0)**2 * (1 + 1e-9)
-                        + 0.25 * np.max(np.sum((b - a)**2, axis=1)))
-        d, _ = cKDTree(a).query(far_pts, distance_upper_bound=reach)
-        close = np.isfinite(d)
-        d[close] = distance_to_curve(far_pts[close], curve)
-        sign = np.where(phi[~near] < 0, -1.0, 1.0)
-        vals = new.copy()
-        vals[~near] = sign * d
-        new = vals
-    new = _clamp(new, s.d0)
-    out = s.copy()
-    out.phi = ScalarField(grid, new)
-    return out
+    new = np.empty_like(phi)
+    new[near] = _clamp(phi[near] / gmag, s.d0)
+    new[~near] = _clamped_distance(np.stack([X[~near], Y[~near]], axis=1),
+                                   curve, phi[~near] < 0, s.d0)
+    return replace(s, phi=ScalarField(grid, new))
 
 
 def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,

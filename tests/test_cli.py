@@ -43,6 +43,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="decreasing"):
             parse_config(path)
 
+    @pytest.mark.parametrize("kind", ["diffuse", "sharp", "compare",
+                                      "generation", "profile"])
+    def test_eps_list_only_on_convergence(self, kind):
+        # constant chi passes compare's own check
+        with pytest.raises(ConfigError, match=f"eps_list.*{kind}"):
+            normalize_config({"kind": kind, "eps_list": [0.04, 0.02],
+                              "chi": {"variant": "constant"}})
+
     def test_partial_nested_object_keeps_other_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path,
                                         m0={"modes": [[2, 0, 0.1]]}))
@@ -194,12 +202,14 @@ class TestMain:
         {"kind": "sharp", "shape": {"kind": "star", "amp": 0.03, "k": 4.7}},
         {"kind": "sharp", "v0": {"modes": [[1.5, 0, 0.1]]}},
         {"kind": "sharp", "n_snapshots": True},
+        {"kind": "diffuse", "eps": 0.2, "eps_list": "nonsense"},
     ], ids=["unknown-shape-key", "unknown-shape-kind", "tiny-n_sharp",
             "negative-width", "negative-eta", "negative-M0", "center-string",
             "center-one-number", "fractional-n_snapshots", "eps_list-string",
             "smooth_interior-star", "smooth_interior-prep_shift",
             "smooth_interior-string", "prep_shift-string", "fractional-k",
-            "fractional-mode-index", "boolean-n_snapshots"])
+            "fractional-mode-index", "boolean-n_snapshots",
+            "eps_list-on-diffuse"])
     def test_exit_two_on_invalid_nested_or_value(self, tmp_path, capsys,
                                                   extra):
         path = write_config(tmp_path, **{"t_end": 1e-4, "n_snapshots": 1,

@@ -14,11 +14,11 @@ from haptolab.curves import (
     extract_level_curve,
     hausdorff,
     one_sided_sup_distance,
+    signed_distance_to_loop,
     write_curve,
 )
 from haptolab.errors import EmptyLevelSetError
 from haptolab.grid import Grid, ScalarField, interpolate_bilinear
-from haptolab.sharp import signed_distance_to_loop
 
 
 def circle_field(n, R, center=(0.5, 0.5)):

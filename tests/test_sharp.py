@@ -13,9 +13,11 @@ from hypothesis.extra.numpy import arrays
 from scipy.ndimage import binary_dilation
 
 from haptolab.curves import (
+    InterfaceCurve,
     circle_polyline,
     distance_to_curve,
     extract_level_curve,
+    signed_distance_to_loop,
 )
 from haptolab.diffuse import HaptoParams
 from haptolab.errors import (
@@ -32,12 +34,12 @@ from haptolab.sharp import (
     _clamp,
     _grow,
     _upwind_advection,
+    clamped_signed_distance,
     curvature_term,
     front_cells,
     init_levelset,
     redistance,
     run_sharp,
-    signed_distance_to_loop,
     step_sharp,
 )
 
@@ -76,10 +78,36 @@ class TestInit:
 
     def test_self_intersection_rejected(self):
         grid = Grid.unit_square(32)
-        bowtie = np.array([[0.3, 0.3], [0.7, 0.7], [0.3, 0.7], [0.7, 0.3]])
-        from haptolab.curves import InterfaceCurve
+        bowtie = InterfaceCurve(np.array([[0.3, 0.3], [0.7, 0.7],
+                                          [0.3, 0.7], [0.7, 0.3]]),
+                                level=0.0)
+        one, zero = ScalarField.full(grid, 1.0), ScalarField.full(grid, 0.0)
         with pytest.raises(InvalidCurveError):
-            signed_distance_to_loop(InterfaceCurve(bowtie, level=0.0), grid)
+            signed_distance_to_loop(bowtie, grid)
+        with pytest.raises(InvalidCurveError):
+            init_levelset(bowtie, grid, one, zero)
+
+    def test_saturated_cells_get_no_exact_distance(self, monkeypatch):
+        # a circle of 2,048 vertices at n = 128, d0 = 0.04: the cells
+        # handed to distance_to_curve lie within the saturation reach of a
+        # vertex, and every other cell is clamped to +-3 d0
+        import haptolab.sharp as sharp
+        asked = []
+
+        def counted(points, curve):
+            asked.append(points)
+            return distance_to_curve(points, curve)
+
+        monkeypatch.setattr(sharp, "distance_to_curve", counted)
+        grid, d0 = Grid.unit_square(128), 0.04
+        curve = circle_polyline((0.5, 0.5), 0.25, n=2048)
+        phi = clamped_signed_distance(curve, grid, d0).values
+        (pts,) = asked
+        a, b = curve.segments()
+        reach = np.hypot(3 * d0, 0.5 * np.hypot(*(b - a).T).max())
+        assert np.hypot(*(pts - 0.5).T).max() < 0.25 + reach + 1e-9
+        assert len(pts) < 0.5 * phi.size
+        assert np.sum(np.abs(phi) == 3 * d0) == phi.size - len(pts)
 
     def test_clamp_properties(self):
         d0 = 0.04
@@ -89,6 +117,50 @@ class TestInit:
         np.testing.assert_allclose(c[inner], x[inner], atol=1e-15)
         assert np.abs(c).max() <= 3 * d0 + 1e-12
         assert np.all(np.diff(c) >= -1e-12)
+
+
+@st.composite
+def star_loops(draw):
+    """One star polygon about (0.5, 0.5), or two disjoint ones about
+    (0.28, 0.5) and (0.72, 0.5), each of 4 to 40 vertices at uneven angles
+    and radii in [0.08, 0.21]; nx != ny, and d0 in [h, 0.1]. The two
+    vertices of radius 0.18 that bound each loop's empty gap are more than
+    3.3 d0 apart, so the segment across it is longer than 3 d0."""
+    nx, ny = draw(st.lists(st.integers(16, 48), min_size=2, max_size=2,
+                           unique=True))
+    grid = Grid(nx, ny, 1.0 / min(nx, ny))
+    d0 = draw(st.floats(grid.h, 0.1))
+    gap = 2 * np.arcsin(3.3 * d0 / 0.36)
+    gap = draw(st.floats(gap, max(gap, 0.9 * np.pi)))
+    loops = []
+    for cx in draw(st.sampled_from([(0.5,), (0.28, 0.72)])):
+        # steps of at least 1/240 of the arc, and anchors at its thirds
+        # that keep every step below pi: each loop is star-shaped about
+        # its centre
+        fractions = np.unique(np.r_[80, 160, draw(st.lists(
+            st.integers(1, 239), max_size=36))]) / 240
+        th = np.r_[gap, gap + (2 * np.pi - gap) * fractions, 2 * np.pi]
+        r = np.r_[0.18, draw(st.lists(st.floats(0.08, 0.21),
+                                      min_size=len(fractions),
+                                      max_size=len(fractions))), 0.18]
+        rot = draw(st.floats(0.0, 2 * np.pi))
+        loops.append(np.stack([cx + r * np.cos(th + rot),
+                               0.5 + r * np.sin(th + rot)], axis=1))
+    return InterfaceCurve(loops[0], level=0.0, extras=loops[1:]), grid, d0
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=star_loops())
+def test_clamped_distance_matches_full_grid(case):
+    # the L_max/2 term of the reach: a cell near the middle of the long
+    # segment is within 3 d0 of it but farther than 3 d0 from both ends
+    curve, grid, d0 = case
+    a, b = curve.segments()
+    assert np.hypot(*(b - a).T).max() > 3 * d0
+    expected = _clamp(signed_distance_to_loop(curve, grid).values, d0)
+    got = clamped_signed_distance(curve, grid, d0).values
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestMotion:

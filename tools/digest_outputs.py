@@ -13,9 +13,10 @@ a shifted layer (prep_shift), `simulate-diffuse` and `simulate-sharp` on a
 star, and `generation` on a smooth-interior circle, and hashes every
 artifact they write except manifest.json, which holds the wall time. It
 hashes the differences that `refinement_order(0.1, 5e-4, 32)` returns.
-Last it runs `run_sharp` on a front of two components with linear chi
-(`two_front_digest`). Two checkouts whose outputs agree print the same
-lines.
+It runs `run_sharp` on a front of two components with linear chi
+(`two_front_digest`), and last hashes the floats of a small
+`bracket_check` (`bracket_digest`). Two checkouts whose outputs agree print
+the same lines.
 """
 from __future__ import annotations
 
@@ -97,6 +98,27 @@ def two_front_digest() -> str:
     return state_digest(run_sharp(s0, p, 2e-3, snapshot_times=(1e-3,)))
 
 
+def bracket_digest() -> str:
+    """bracket_check at eps = 0.025 (the diffuse grid at n = 160) against a
+    sharp reference at n = 64, to t = 2e-3 with two snapshots. The
+    envelope constants (d0 = 0.12, K = 1.1) are feasible at that eps, and
+    the envelope's distance field, the sharp front's signed distance on
+    the diffuse grid clamped at 3 d0, saturates at the corners. Hashes the
+    times, the worst gaps, the slacks and the verdict."""
+    from haptolab.analysis import bracket_check
+    from haptolab.diffuse import CosineSpec, ShapeSpec, StudyConfig
+    from haptolab.kernel import envelope_constants
+    cfg = StudyConfig(ShapeSpec("circle", (0.5, 0.5), 0.25),
+                      CosineSpec(1.0, ((1, 1, 0.2),)),
+                      CosineSpec(0.3, ((2, 0, 0.1),)),
+                      t_end=2e-3, n_snapshots=2, n_sharp=64)
+    c = envelope_constants(T=0.01, d0=0.12, eps0=0.025, K=1.1)
+    rep = bracket_check(cfg, 0.025, c)
+    floats = np.array([*rep.times, rep.worst_below, rep.worst_above,
+                       *rep.slacks, rep.passed], dtype=float)
+    return hashlib.sha256(floats.tobytes()).hexdigest()
+
+
 def cli_digests(name: str, config: dict) -> list[tuple[str, str]]:
     from haptolab.cli import main
     command = name.split()[0]
@@ -124,6 +146,7 @@ def main() -> None:
     print("refinement_order(0.1, 5e-4, 32) diffs: "
           f"{hashlib.sha256(diffs.tobytes()).hexdigest()}", flush=True)
     print(f"run_sharp two fronts: {two_front_digest()}", flush=True)
+    print(f"bracket_check eps 0.025: {bracket_digest()}", flush=True)
 
 
 if __name__ == "__main__":
