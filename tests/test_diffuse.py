@@ -6,10 +6,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import solve_ivp
 from scipy.special import expit
 
 from haptolab import diffuse
-from haptolab.curves import distance_to_curve
+from haptolab.analysis import diffuse_run
+from haptolab.curves import (
+    distance_to_curve,
+    extract_level_curve,
+    one_sided_sup_distance,
+)
 from haptolab.diffuse import (
     CosineSpec,
     DiffuseState,
@@ -74,6 +83,45 @@ class TestUniformSolutions:
             errs.append(abs(s.m.values.mean() - math.exp(-0.04)))
         rates = [errs[i] / errs[i + 1] for i in range(2)]
         assert all(1.7 < r < 2.3 for r in rates)
+
+
+class TestExactReaction:
+    """The half-step is the exact flow of du/dt = f(u)/eps^2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(u=arrays(float, 8, elements=st.floats(0.0, 2.0)),
+           eps=st.floats(0.005, 0.1),
+           s=st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 3000.0)))
+    @example(u=np.array([0.0, 0.5, 1.0, 2.0, 0.5 + 1e-12, 0.5 - 1e-12,
+                         0.25, 0.75]), eps=0.01, s=2000.0)
+    def test_matches_tight_ode_solve(self, u, eps, s):
+        # s = half_dt / eps^2; s > 1490 underflows exp(-s/2) to 0. The
+        # oracle integrates y = u - 1/2, whose relative error the flow
+        # does not amplify, in the rescaled time s.
+        p = HaptoParams(eps=eps, lam=1.0, alpha=1.0)
+        out = diffuse._reaction_half_step(u, p, s * eps**2)
+        sol = solve_ivp(lambda t, y: y * (0.25 - y * y), (0.0, s), u - 0.5,
+                        method="DOP853", rtol=1e-13, atol=1e-300)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, 0.5 + sol.y[:, -1], rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("half_dt", [1e-6, 1e-3, 1.0, 1e6])
+    def test_roots_fixed_and_unit_interval_kept(self, half_dt):
+        p = HaptoParams(eps=0.02, lam=1.0, alpha=1.0)
+        roots = np.array([0.0, 0.5, 1.0])
+        assert np.array_equal(diffuse._reaction_half_step(roots, p, half_dt),
+                              roots)
+        u = np.linspace(0.0, 1.0, 10001)
+        out = diffuse._reaction_half_step(u, p, half_dt)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+
+    def test_no_reaction_and_zero_step_leave_u(self):
+        u = np.linspace(0.0, 2.0, 9)
+        p = HaptoParams(eps=0.02, lam=1.0, alpha=1.0)
+        off = HaptoParams(eps=0.02, lam=1.0, alpha=1.0, reaction=False)
+        assert np.array_equal(diffuse._reaction_half_step(u, p, 0.0), u)
+        assert np.array_equal(diffuse._reaction_half_step(u, off, 1e-3), u)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +206,7 @@ class TestNoDrift:
 
 class TestExactDiffusion:
     """u diffuses by the exact heat flow of the discrete Laplacian, so only
-    the reaction and the advection bound the step."""
+    the split's accuracy and the advection bound the step."""
 
     def test_transport_without_drift_is_the_heat_flow(self, front_state):
         p = HaptoParams(eps=0.08, lam=1.0, alpha=0.5,
@@ -171,7 +219,7 @@ class TestExactDiffusion:
     def test_no_drift_step_independent_of_h(self):
         p = HaptoParams(eps=0.04, lam=1.0, alpha=1.0)
         for n in (64, 256):
-            assert dt_max(p, Grid.unit_square(n), None) == 0.04**2 / 10
+            assert dt_max(p, Grid.unit_square(n), None) == 0.04**2 / 5
 
     def test_steep_front_beyond_explicit_cap(self):
         grid = Grid.unit_square(64)
@@ -187,6 +235,30 @@ class TestExactDiffusion:
             assert dt > grid.h**2 / 8  # forward-Euler diffusion's cap
             s = step_diffuse(s, p, dt, w)
             assert s.u.values.min() >= 0.0
+
+
+class TestStepCap:
+    """dt_max's accuracy rule: at eps = 0.04 (n = 100, t = 0.01), the run at
+    dt_max stays within 2.2e-4 in m, 10% of criterion 5's m-gap at that
+    eps, and within h/100 in the front of the run at dt_max/8."""
+
+    def test_cap_meets_its_accuracy_rule(self, monkeypatch):
+        cfg = StudyConfig(ShapeSpec("circle", (0.5, 0.5), 0.25),
+                          CosineSpec(1.0, ((1, 1, 0.2),)),
+                          CosineSpec(0.3, ((2, 0, 0.1),)), t_end=0.01)
+        coarse, _ = diffuse_run(cfg, 0.04)
+        cap = diffuse.dt_max
+        monkeypatch.setattr(diffuse, "dt_max",
+                            lambda p, grid, w: cap(p, grid, w) / 8)
+        fine, _ = diffuse_run(cfg, 0.04)
+        h = coarse[0].u.grid.h
+        assert len(coarse) == len(fine) == 5
+        for a, b in zip(coarse[1:], fine[1:]):
+            assert np.abs(a.m.values - b.m.values).max() <= 2.2e-4
+            ca = extract_level_curve(a.u, 0.5)
+            cb = extract_level_curve(b.u, 0.5)
+            assert max(one_sided_sup_distance(ca, cb),
+                       one_sided_sup_distance(cb, ca)) <= h / 100
 
 
 class TestMarch:
@@ -207,16 +279,16 @@ class TestMarch:
         monkeypatch.setattr(diffuse, "step_diffuse", breaks_on_third)
         s0 = uniform_state(Grid.unit_square(8), 0.3, 1.0, 0.2)
         with pytest.raises(StabilityViolationError,
-                           match=r"u\[1, 2\] = 2.5 at t = 0.003, above its "
+                           match=r"u\[1, 2\] = 2.5 at t = 0.006, above its "
                                  r"bound 2, at step 3$"):
             run_diffuse(s0, HaptoParams(eps=0.1, lam=1.0, alpha=1.0), 0.01)
         assert len(calls) == 3
 
     def test_one_snapshot_per_distinct_mark(self):
         grid = Grid.unit_square(8)
-        p = HaptoParams(eps=0.1, lam=1.0, alpha=1.0)
+        p = HaptoParams(eps=0.05, lam=1.0, alpha=1.0)
         s0 = replace(uniform_state(grid, 0.3, 1.0, 0.2), t=1e-4)
-        # dt_max is 1e-3 here, so the later marks take several steps
+        # dt_max is eps^2/5 = 5e-4, so the later marks take several steps
         times = (2.5e-3, 0.0, 1e-4, 1e-3, 2.5e-3, 5e-5, 1e-3)
         snaps = run_diffuse(s0, p, 4e-3, snapshot_times=times)
         assert [s.t for s in snaps] == [1e-4, 1e-3, 2.5e-3, 4e-3]
