@@ -387,8 +387,15 @@ def _reaction_half_step(u: np.ndarray, p: HaptoParams, half_dt: float
     q = math.exp(-half_dt / (2.0 * p.eps**2))
     y = u - 0.5
     s = 4.0 * y * y
-    root = np.sqrt(s + q * (1.0 - s))
-    return 0.5 + np.divide(y, root, out=np.zeros_like(y), where=y != 0.0)
+    # in place from here on: a fresh array per operation made the
+    # half-step about 3x slower at n = 200
+    root = 1.0 - s
+    root *= q
+    root += s
+    np.sqrt(root, out=root)
+    np.divide(y, root, out=y, where=y != 0.0)
+    y += 0.5
+    return y
 
 
 def advance_enzyme(m: ScalarField, source: np.ndarray, alpha: float,
