@@ -289,8 +289,12 @@ def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants
     flat beyond 3 * c.d0).  The tracker's raw phi is only trusted near the
     zero level, so interpolating it directly would overstate interior
     depth.  Slack at each time is 1e-6 + q(t), with q absorbing the
-    envelope's own vertical offset.
+    envelope's own vertical offset.  An eps outside (0, c.eps0] raises
+    ValueError before either solve runs.
     """
+    if not 0.0 < eps <= c.eps0:
+        raise ValueError(f"eps = {eps:g} is outside (0, eps0 = {c.eps0:g}] "
+                         "of the envelope constants")
     sharp_snaps = sharp_reference(cfg, cfg.params(eps))
     sharp_by_t = {round(s.t, 12): s for s in sharp_snaps}
     snaps, p = diffuse_run(cfg, eps)

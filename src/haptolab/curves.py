@@ -317,12 +317,6 @@ def one_sided_sup_distance(a: InterfaceCurve, b: InterfaceCurve,
     return float(distance_to_curve(samples, b).max())
 
 
-def hausdorff(a: InterfaceCurve, b: InterfaceCurve,
-              seg_step: float | None = None) -> float:
-    return max(one_sided_sup_distance(a, b, seg_step),
-               one_sided_sup_distance(b, a, seg_step))
-
-
 def write_curve(path, curve: InterfaceCurve):
     with open(path, "w") as fh:
         fh.write("x,y\n")

@@ -27,10 +27,6 @@ def f_prime(u):
     return -3.0 * u * u + 3.0 * u - 0.5
 
 
-def f_second(u):
-    return -6.0 * u + 3.0
-
-
 # --- standing-wave profile ------------------------------------------------
 
 def standing_profile(z):
@@ -41,11 +37,6 @@ def standing_profile(z):
 def standing_profile_derivative(z):
     u = standing_profile(z)
     return -(1.0 / SQRT2) * u * (1.0 - u)
-
-
-def standing_profile_second(z):
-    # from the profile ODE: second derivative = -f(profile)
-    return -f_bistable(standing_profile(z))
 
 
 @dataclass
@@ -201,10 +192,6 @@ class EnvelopeConstants:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "EnvelopeConstants":
-        return cls(**json.loads(s))
 
 
 def envelope_constants(T: float, d0: float, eps0: float, K: float,

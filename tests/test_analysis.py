@@ -143,6 +143,22 @@ class TestEnvelopes:
             assert prev < 0.05
 
 
+class TestBracket:
+    def test_eps_beyond_eps0_rejected_before_any_solve(self, consts,
+                                                      monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(analysis, "sharp_reference", no_solve)
+        monkeypatch.setattr(analysis, "diffuse_run", no_solve)
+        cfg = StudyConfig(ShapeSpec(), CosineSpec(1.0), CosineSpec(0.3))
+        for eps in (0.05, 0.0, -0.01):
+            with pytest.raises(ValueError,
+                               match=rf"eps = {eps:g} is outside "
+                                     rf"\(0, eps0 = {consts.eps0:g}\]"):
+                analysis.bracket_check(cfg, eps, consts)
+
+
 class TestResidual:
     def test_zero_states_annihilated(self):
         grid = Grid.unit_square(32)

