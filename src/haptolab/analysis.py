@@ -17,7 +17,6 @@ from .diffuse import (
     ShapeSpec,
     StudyConfig,
     chi_gradient,
-    initial_state,
     make_initial_data,
     run_diffuse,
 )
@@ -175,6 +174,11 @@ def grid_for_eps(eps: float) -> Grid:
 
 
 def sharp_reference(cfg: StudyConfig, p: HaptoParams):
+    """The sharp front of cfg at n = n_sharp: its initial state, then one
+    snapshot per mark of cfg. A t_end of 0 raises ValueError before any
+    solve, since a front that does not move has nothing to compare."""
+    if cfg.t_end <= 0:
+        raise ValueError("a sharp reference needs t_end > 0")
     grid = Grid.unit_square(cfg.n_sharp)
     curve = cfg.shape.polyline(8 * cfg.n_sharp)
     s0 = init_levelset(curve, grid, cfg.v0_spec.evaluate(grid),
@@ -185,10 +189,9 @@ def sharp_reference(cfg: StudyConfig, p: HaptoParams):
 def diffuse_run(cfg: StudyConfig, eps: float,
                 extra_times: tuple[float, ...] = ()):
     p = cfg.params(eps)
-    s0 = initial_state(make_initial_data(cfg, eps, grid_for_eps(eps)))
-    times = tuple(sorted(set(cfg.snapshot_times()) | set(extra_times)))
-    return run_diffuse(s0, p, max(times[-1], cfg.t_end),
-                       snapshot_times=times), p
+    s0 = make_initial_data(cfg, eps, grid_for_eps(eps))
+    return run_diffuse(s0, p, cfg.t_end,
+                       snapshot_times=cfg.snapshot_times() + extra_times), p
 
 
 def _field_gap(fine: ScalarField, coarse_grid: Grid,
@@ -207,7 +210,6 @@ def convergence_study(cfg: StudyConfig, eps_list) -> ConvergenceRecord:
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps list must be strictly decreasing")
     sharp_snaps = sharp_reference(cfg, cfg.params(eps_list[0]))
-    sharp_by_t = {round(s.t, 12): s for s in sharp_snaps}
 
     gap_grid = Grid.unit_square(64)
     rec = ConvergenceRecord(eps_list=eps_list,
@@ -215,11 +217,8 @@ def convergence_study(cfg: StudyConfig, eps_list) -> ConvergenceRecord:
                             interface_distance=[], v_gap=[], m_gap=[])
     for eps in eps_list:
         snaps, _ = diffuse_run(cfg, eps)
-        by_t = {round(s.t, 12): s for s in snaps}
         dists, vg, mg = [], 0.0, 0.0
-        for t in cfg.snapshot_times():
-            d_snap = by_t[round(t, 12)]
-            s_snap = sharp_by_t[round(t, 12)]
+        for d_snap, s_snap in zip(snaps[1:], sharp_snaps[1:], strict=True):
             gamma_eps = extract_level_curve(d_snap.u, 0.5)
             gamma_0 = extract_level_curve(s_snap.phi, 0.0)
             dists.append(one_sided_sup_distance(gamma_eps, gamma_0))
@@ -254,8 +253,8 @@ def refinement_order(eps: float, t_end: float, n_base: int,
     p = cfg.params(eps)
     fields = []
     for n in (n_base, 2 * n_base, 4 * n_base):
-        data = make_initial_data(cfg, eps, Grid.unit_square(n))
-        snaps = run_diffuse(initial_state(data), p, t_end)
+        s0 = make_initial_data(cfg, eps, Grid.unit_square(n))
+        snaps = run_diffuse(s0, p, t_end)
         k = n // n_base
         u = snaps[-1].u.values
         fields.append(u.reshape(n_base, k, n_base, k).mean(axis=(1, 3)))
@@ -275,9 +274,6 @@ class BracketReport:
     slacks: list[float]
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2)
-
 
 def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants
                   ) -> BracketReport:
@@ -296,16 +292,14 @@ def bracket_check(cfg: StudyConfig, eps: float, c: EnvelopeConstants
         raise ValueError(f"eps = {eps:g} is outside (0, eps0 = {c.eps0:g}] "
                          "of the envelope constants")
     sharp_snaps = sharp_reference(cfg, cfg.params(eps))
-    sharp_by_t = {round(s.t, 12): s for s in sharp_snaps}
     snaps, p = diffuse_run(cfg, eps)
     grid = snaps[0].u.grid
 
     worst_below = worst_above = -math.inf
     times, slacks = [], []
     passed = True
-    for t in cfg.snapshot_times():
-        d_snap = next(s for s in snaps if abs(s.t - t) < 1e-12)
-        s_snap = sharp_by_t[round(t, 12)]
+    for d_snap, s_snap in zip(snaps[1:], sharp_snaps[1:], strict=True):
+        t = d_snap.t
         front = extract_level_curve(s_snap.phi, 0.0)
         d_field = clamped_signed_distance(front, grid, c.d0)
         lo = envelope_fields(d_field, t, eps, c, -1)

@@ -23,7 +23,6 @@ class InterfaceCurve:
     all loops; `write_curve` writes the primary loop only."""
 
     points: np.ndarray
-    level: float = 0.5
     grid: Grid | None = None
     extras: list[np.ndarray] = field(default_factory=list)
 
@@ -99,12 +98,11 @@ class InterfaceCurve:
                           & (u > 0) & (u < 1))
 
 
-def circle_polyline(center, radius: float, n: int = 512,
-                    level: float = 0.0) -> InterfaceCurve:
+def circle_polyline(center, radius: float, n: int = 512) -> InterfaceCurve:
     th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     pts = np.stack([center[0] + radius * np.cos(th),
                     center[1] + radius * np.sin(th)], axis=1)
-    return InterfaceCurve(pts, level=level)
+    return InterfaceCurve(pts)
 
 
 # --- marching squares -----------------------------------------------------
@@ -204,8 +202,7 @@ def extract_level_curve(f: ScalarField, level: float) -> InterfaceCurve:
     if not polylines:
         raise EmptyLevelSetError("level set degenerate (no usable loop)")
     polylines.sort(key=lambda p: -len(p))
-    return InterfaceCurve(polylines[0], level=level, grid=g,
-                          extras=polylines[1:])
+    return InterfaceCurve(polylines[0], grid=g, extras=polylines[1:])
 
 
 # --- distances ------------------------------------------------------------

@@ -31,6 +31,8 @@ from .grid import (
 )
 from .kernel import ChiSpec, is_number
 
+C0 = 2.0  # the invariants' upper bound on u and m
+
 
 @dataclass(frozen=True)
 class HaptoParams:
@@ -38,14 +40,10 @@ class HaptoParams:
     lam: float
     alpha: float
     chi: ChiSpec = field(default_factory=ChiSpec.identity)
-    C0: float = 2.0
-    reaction: bool = True  # off for pure-transport diagnostics
 
     def __post_init__(self):
         if self.eps <= 0 or self.lam <= 0 or self.alpha <= 0:
             raise ValueError("eps, lam and alpha must be positive")
-        if self.C0 <= 1:
-            raise ValueError("C0 must exceed 1")
 
 
 @dataclass
@@ -65,8 +63,8 @@ class DiffuseState:
         """Raise StabilityViolationError, naming the field, t, the worst
         cell, its value and the bound it broke, when u or m leaves [0, C0],
         v leaves [0, v_init] or int_m turns negative (beyond tol)."""
-        for name, f, hi in (("u", self.u.values, p.C0),
-                            ("m", self.m.values, p.C0),
+        for name, f, hi in (("u", self.u.values, C0),
+                            ("m", self.m.values, C0),
                             ("v", self.v.values, self.v_init.values),
                             ("int_m", self.int_m.values, np.inf)):
             if f.min() >= -tol and np.all(f <= hi + tol):
@@ -117,7 +115,7 @@ class ShapeSpec:
         r = self.radius(th)
         pts = np.stack([self.center[0] + r * np.cos(th),
                         self.center[1] + r * np.sin(th)], axis=1)
-        return InterfaceCurve(pts, level=0.5)
+        return InterfaceCurve(pts)
 
     def signed_distance(self, grid: Grid) -> np.ndarray:
         """Signed distance from the cell centers to the curve, negative
@@ -183,22 +181,14 @@ class CosineSpec:
         return cls(d["constant"], tuple(tuple(m) for m in d["modes"]))
 
 
-@dataclass
-class InitialData:
-    u0: ScalarField
-    v0: ScalarField
-    m0: ScalarField
-    gamma0: InterfaceCurve
-
-
 @dataclass(frozen=True)
 class StudyConfig:
     """The inputs of a run: the initial front and fields, the model
     constants, the run's end and snapshots, and the shape of the initial
     cell profile. It checks its own fields on construction (ValueError),
-    and a run builds its HaptoParams (`params`) and initial data
-    (`make_initial_data`) from it. t_end may be 0, for a run that only
-    builds its initial state."""
+    and a run builds its HaptoParams (`params`), initial state
+    (`make_initial_data`) and marks (`snapshot_times`) from it. t_end may
+    be 0, for a run that only builds its initial state."""
 
     shape: ShapeSpec
     v0_spec: CosineSpec
@@ -245,8 +235,11 @@ class StudyConfig:
                              "circles with prep_shift 0 only")
 
     def snapshot_times(self) -> tuple[float, ...]:
-        return tuple(self.t_end * (k + 1) / self.n_snapshots
-                     for k in range(self.n_snapshots))
+        """The run's marks t_end k/n for 0 < k < n, then t_end itself:
+        t_end n/n can miss t_end by an ulp, which would make a second
+        mark."""
+        n = self.n_snapshots
+        return tuple(self.t_end * k / n for k in range(1, n)) + (self.t_end,)
 
     def params(self, eps: float) -> HaptoParams:
         """The model constants of a run at eps."""
@@ -255,8 +248,9 @@ class StudyConfig:
 
 
 def make_initial_data(cfg: StudyConfig, eps: float, grid: Grid
-                      ) -> InitialData:
-    """Build hypothesis-compliant initial data for a run of cfg at eps.
+                      ) -> DiffuseState:
+    """The state at t = 0 of a run of cfg at eps, from hypothesis-compliant
+    initial data.
 
     u0 is a sigmoid, of width cfg.width (sqrt(2) eps when None), of the
     signed distance to the interface (negative inside, so u0 > 1/2 there).
@@ -268,7 +262,8 @@ def make_initial_data(cfg: StudyConfig, eps: float, grid: Grid
     eps outside the nominal interface (generic data for localization
     studies never sits exactly on the limit front). The interface must
     clear the walls by 4 cfg.d0, and {u0 > 1/2} must be one component away
-    from the boundary.
+    from the boundary. The state starts with no enzyme integral, and its
+    v and v_init are separate arrays.
     """
     shape = cfg.shape
     width = cfg.width if cfg.width is not None else math.sqrt(2.0) * eps
@@ -282,11 +277,7 @@ def make_initial_data(cfg: StudyConfig, eps: float, grid: Grid
         u0 = ScalarField(grid, expit(-(d - cfg.prep_shift * eps) / width))
     v0 = cfg.v0_spec.evaluate(grid)
     m0 = cfg.m0_spec.evaluate(grid)
-    gamma0 = shape.polyline(max(1024, 8 * max(grid.nx, grid.ny)))
-    gamma0 = InterfaceCurve(gamma0.points, level=0.5, grid=grid)
-
-    gx = gamma0.points[:, 0]
-    gy = gamma0.points[:, 1]
+    gx, gy = shape.polyline(max(1024, 8 * max(grid.nx, grid.ny))).points.T
     clearance = min(
         (gx - grid.origin[0]).min(), (grid.xmax - gx).min(),
         (gy - grid.origin[1]).min(), (grid.ymax - gy).min(),
@@ -306,15 +297,8 @@ def make_initial_data(cfg: StudyConfig, eps: float, grid: Grid
     border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
     if np.any(labels[border] != 0):
         raise InvalidInitialDataError("{u0 > 1/2} touches the boundary")
-    return InitialData(u0, v0, m0, gamma0)
-
-
-def initial_state(data: InitialData) -> DiffuseState:
-    grid = data.u0.grid
-    return DiffuseState(
-        u=data.u0.copy(), v=data.v0.copy(), m=data.m0.copy(),
-        int_m=ScalarField.full(grid, 0.0), t=0.0, v_init=data.v0.copy(),
-    )
+    return DiffuseState(u=u0, v=v0, m=m0, int_m=ScalarField.full(grid, 0.0),
+                        t=0.0, v_init=v0.copy())
 
 
 def uniform_state(grid: Grid, u: float, v: float, m: float) -> DiffuseState:
@@ -382,7 +366,7 @@ def _reaction_half_step(u: np.ndarray, p: HaptoParams, half_dt: float
     overflow, it fixes 0, 1/2 and 1 exactly and maps [0, 1] into itself;
     y = 0 stays 0 when q underflows to 0 and the root would be 0/0.
     """
-    if not p.reaction or half_dt == 0.0:
+    if half_dt == 0.0:
         return u
     q = math.exp(-half_dt / (2.0 * p.eps**2))
     y = u - 0.5
@@ -496,7 +480,7 @@ def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("times must be strictly increasing")
     for uf in u_fields:
-        if np.any(uf.values < -1e-12) or np.any(uf.values > p.C0 + 1e-12):
+        if np.any(uf.values < -1e-12) or np.any(uf.values > C0 + 1e-12):
             raise ValueError("prescribed u outside [0, C0]")
 
     def u_at(t: float) -> np.ndarray:

@@ -2,10 +2,9 @@
 the envelope-constant calculator used by the sub/super-solution machinery."""
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -189,9 +188,6 @@ class EnvelopeConstants:
     m_f: float
     a1: float
     b: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def envelope_constants(T: float, d0: float, eps0: float, K: float,

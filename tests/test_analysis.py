@@ -158,6 +158,20 @@ class TestBracket:
                                      rf"\(0, eps0 = {consts.eps0:g}\]"):
                 analysis.bracket_check(cfg, eps, consts)
 
+    def test_no_motion_rejected_before_any_solve(self, consts, monkeypatch):
+        # t_end = 0 leaves no snapshot pair to score
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(analysis, "run_sharp", no_solve)
+        monkeypatch.setattr(analysis, "diffuse_run", no_solve)
+        cfg = StudyConfig(ShapeSpec(), CosineSpec(1.0), CosineSpec(0.3),
+                          t_end=0.0, n_sharp=64)
+        with pytest.raises(ValueError, match="t_end > 0"):
+            analysis.bracket_check(cfg, consts.eps0, consts)
+        with pytest.raises(ValueError, match="t_end > 0"):
+            convergence_study(cfg, [0.2, 0.1])
+
 
 class TestResidual:
     def test_zero_states_annihilated(self):

@@ -120,6 +120,22 @@ class TestPipelines:
         assert len(metrics) == 4  # header + initial + two snapshots
         assert (out / "u_000.csv").exists() and (out / "u_002.csv").exists()
 
+    @pytest.mark.parametrize("config, prefix", [
+        ({"kind": "sharp", "eps": 0.05, "t_end": 0.003, "n_snapshots": 3,
+          "n_sharp": 64}, "interface_"),
+        ({"kind": "diffuse", "eps": 0.1, "t_end": 0.03, "n_snapshots": 11},
+         "u_"),
+    ])
+    def test_one_snapshot_per_mark(self, tmp_path, config, prefix):
+        # t_end * n / n misses t_end by an ulp for both configs
+        cfg = parse_config(write_config(tmp_path, **config))
+        out, _ = run_experiment(cfg, out_dir=tmp_path / "run")
+        n = config["n_snapshots"] + 1
+        assert len(list(out.glob(f"{prefix}*.csv"))) == n
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert len(rows) == n
+        assert float(rows[-1].split(",")[0]) == config["t_end"]
+
     def test_determinism_byte_identical(self, tmp_path):
         blobs = []
         for tag in ("a", "b"):

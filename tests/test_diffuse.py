@@ -27,7 +27,6 @@ from haptolab.diffuse import (
     StudyConfig,
     chi_gradient,
     dt_max,
-    initial_state,
     make_initial_data,
     run_diffuse,
     solve_vm_for_u,
@@ -116,12 +115,10 @@ class TestExactReaction:
         out = diffuse._reaction_half_step(u, p, half_dt)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-    def test_no_reaction_and_zero_step_leave_u(self):
+    def test_zero_step_leaves_u(self):
         u = np.linspace(0.0, 2.0, 9)
         p = HaptoParams(eps=0.02, lam=1.0, alpha=1.0)
-        off = HaptoParams(eps=0.02, lam=1.0, alpha=1.0, reaction=False)
         assert np.array_equal(diffuse._reaction_half_step(u, p, 0.0), u)
-        assert np.array_equal(diffuse._reaction_half_step(u, off, 1e-3), u)
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +127,7 @@ def front_state():
     shape = ShapeSpec("circle", (0.5, 0.5), 0.25)
     cfg = StudyConfig(shape, CosineSpec(1.0, ((1, 1, 0.2),)),
                       CosineSpec(0.3, ((2, 0, 0.1),)), width=0.05, d0=0.03)
-    data = make_initial_data(cfg, 0.08, grid)
-    return initial_state(data)
+    return make_initial_data(cfg, 0.08, grid)
 
 
 class TestStructure:
@@ -153,18 +149,6 @@ class TestStructure:
                 continue
             assert np.all(snaps[j].v.values <= snaps[i].v.values + 1e-14)
         assert np.all(snaps[-1].v.values >= 0)
-
-    def test_mass_conservation_transport_only(self, front_state):
-        # constant chi and no reaction: the cell mass is exactly conserved
-        p = HaptoParams(eps=0.08, lam=1.0, alpha=0.5,
-                        chi=ChiSpec.constant(), reaction=False)
-        s = front_state.copy()
-        h2 = s.u.grid.h**2
-        mass0 = s.u.values.sum() * h2
-        for _ in range(30):
-            w = chi_gradient(s.v, p.chi)
-            s = step_diffuse(s, p, dt_max(p, s.u.grid, w), w)
-        assert abs(s.u.values.sum() * h2 - mass0) < 1e-12
 
     def test_snapshot_times_exact(self, front_state):
         p = HaptoParams(eps=0.08, lam=1.0, alpha=1.0)
@@ -209,12 +193,15 @@ class TestExactDiffusion:
     the split's accuracy and the advection bound the step."""
 
     def test_transport_without_drift_is_the_heat_flow(self, front_state):
-        p = HaptoParams(eps=0.08, lam=1.0, alpha=0.5,
-                        chi=ChiSpec.constant(), reaction=False)
-        dt = dt_max(p, front_state.u.grid, None)
+        # the driftless step is half reaction, heat flow, half reaction
+        p = HaptoParams(eps=0.08, lam=1.0, alpha=0.5, chi=ChiSpec.constant())
+        grid = front_state.u.grid
+        dt = dt_max(p, grid, None)
         out = step_diffuse(front_state, p, dt, None)
+        half = diffuse._reaction_half_step(front_state.u.values, p, 0.5 * dt)
+        heat = heat_neumann(ScalarField(grid, half), dt).values
         assert np.array_equal(out.u.values,
-                              heat_neumann(front_state.u, dt).values)
+                              diffuse._reaction_half_step(heat, p, 0.5 * dt))
 
     def test_no_drift_step_independent_of_h(self):
         p = HaptoParams(eps=0.04, lam=1.0, alpha=1.0)
@@ -226,9 +213,8 @@ class TestExactDiffusion:
         cfg = StudyConfig(ShapeSpec("circle", (0.5, 0.5), 0.25),
                           CosineSpec(1.0, ((1, 1, 0.5),)), CosineSpec(0.3),
                           width=grid.h)
-        data = make_initial_data(cfg, 0.04, grid)
         p = HaptoParams(eps=0.04, lam=1.0, alpha=1.0, chi=ChiSpec.identity())
-        s = initial_state(data)
+        s = make_initial_data(cfg, 0.04, grid)
         for _ in range(50):
             w = chi_gradient(s.v, p.chi)
             dt = dt_max(p, grid, w)
@@ -259,6 +245,22 @@ class TestStepCap:
             cb = extract_level_curve(b.u, 0.5)
             assert max(one_sided_sup_distance(ca, cb),
                        one_sided_sup_distance(cb, ca)) <= h / 100
+
+
+class TestSnapshotTimes:
+    """A run's marks are t_end k/n for 0 < k < n, then t_end itself."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(t_end=st.floats(1e-6, 1.0), n=st.integers(1, 50))
+    @example(t_end=0.003, n=3)
+    @example(t_end=0.03, n=11)
+    def test_marks_increase_and_end_at_t_end(self, t_end, n):
+        # t_end * n / n is not t_end for 0.003 and 3, nor 0.03 and 11
+        cfg = StudyConfig(ShapeSpec(), CosineSpec(), CosineSpec(),
+                          t_end=t_end, n_snapshots=n)
+        times = cfg.snapshot_times()
+        assert len(times) == n and times[-1] == t_end
+        assert all(a < b for a, b in zip(times, times[1:]))
 
 
 class TestMarch:
@@ -324,7 +326,11 @@ class TestInitialData:
         shape = ShapeSpec("star", (0.5, 0.5), 0.22, amp=0.04, k=5)
         cfg = StudyConfig(shape, CosineSpec(1.0), CosineSpec(0.5),
                           width=0.04, d0=0.03)
-        assert make_initial_data(cfg, 0.04, grid).gamma0.is_simple()
+        assert shape.polyline().is_simple()
+        s = make_initial_data(cfg, 0.04, grid)
+        assert s.t == 0.0 and not s.int_m.values.any()
+        assert not np.shares_memory(s.v.values, s.v_init.values)
+        np.testing.assert_array_equal(s.v.values, s.v_init.values)
 
     @pytest.mark.parametrize("shape, n", [
         (ShapeSpec("star", (0.5, 0.5), 0.22, amp=0.04, k=5), 64),
@@ -340,8 +346,8 @@ class TestInitialData:
         inside = np.hypot(x, y) < shape.radius(np.arctan2(y, x))
         sd = np.where(inside, -d, d).reshape(X.shape)
         cfg = StudyConfig(shape, CosineSpec(1.0), CosineSpec(0.5), width=0.04)
-        data = make_initial_data(cfg, 0.04, grid)
-        np.testing.assert_array_equal(data.u0.values, expit(-sd / 0.04))
+        s = make_initial_data(cfg, 0.04, grid)
+        np.testing.assert_array_equal(s.u.values, expit(-sd / 0.04))
 
     def test_roundtrip_dicts(self):
         s = ShapeSpec("star", (0.4, 0.6), 0.2, 0.03, 4)

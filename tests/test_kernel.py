@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from haptolab.errors import ConstantsInfeasibleError
 from haptolab.kernel import (
     SQRT2,
     ChiSpec,
-    EnvelopeConstants,
     envelope_constants,
     envelope_p_q,
     f_bistable,
@@ -178,9 +176,6 @@ class TestEnvelopeConstants:
         a = envelope_constants(0.02, 0.06, 0.02, 1.5)
         b = envelope_constants(0.02, 0.06, 0.02, 1.5)
         assert a == b
-
-    def test_roundtrip_json(self, consts):
-        assert EnvelopeConstants(**json.loads(consts.to_json())) == consts
 
     def test_infeasible_b_raises(self):
         # with b = 1/4 the margin min(-f') on the wells is negative

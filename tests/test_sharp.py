@@ -79,8 +79,7 @@ class TestInit:
     def test_self_intersection_rejected(self):
         grid = Grid.unit_square(32)
         bowtie = InterfaceCurve(np.array([[0.3, 0.3], [0.7, 0.7],
-                                          [0.3, 0.7], [0.7, 0.3]]),
-                                level=0.0)
+                                          [0.3, 0.7], [0.7, 0.3]]))
         one, zero = ScalarField.full(grid, 1.0), ScalarField.full(grid, 0.0)
         with pytest.raises(InvalidCurveError):
             signed_distance_to_loop(bowtie, grid)
@@ -146,7 +145,7 @@ def star_loops(draw):
         rot = draw(st.floats(0.0, 2 * np.pi))
         loops.append(np.stack([cx + r * np.cos(th + rot),
                                0.5 + r * np.sin(th + rot)], axis=1))
-    return InterfaceCurve(loops[0], level=0.0, extras=loops[1:]), grid, d0
+    return InterfaceCurve(loops[0], extras=loops[1:]), grid, d0
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,13 +10,15 @@ snapshot's t and fields: phi or u, then v, m and int_m. It then runs the
 CLI's `simulate-sharp` and `compare` on small circle configs,
 `simulate-diffuse` on a circle with constant chi (no drift) and on one with
 a shifted layer (prep_shift), `simulate-diffuse` and `simulate-sharp` on a
-star, and `generation` on a smooth-interior circle, and hashes every
-artifact they write except manifest.json, which holds the wall time. It
-hashes the differences that `refinement_order(0.1, 5e-4, 32)` returns.
+star, `generation` on a smooth-interior circle, and `simulate-sharp` and
+`simulate-diffuse` on two configs whose t_end n/n is not t_end, and hashes
+every artifact they write except manifest.json, which holds the wall time.
+It hashes the differences that `refinement_order(0.1, 5e-4, 32)` returns.
 It runs `run_sharp` on a front of two components with linear chi
 (`two_front_digest`), and last hashes the floats of a small
-`bracket_check` (`bracket_digest`). Two checkouts whose outputs agree print
-the same lines.
+`bracket_check` (`bracket_digest`) and of a small `convergence_study`
+(`convergence_digest`). Two checkouts whose outputs agree print the same
+lines.
 """
 from __future__ import annotations
 
@@ -56,6 +58,12 @@ CLI_CONFIGS = {
     "generation smooth_interior": {"kind": "generation", "eps": 0.1,
                                    "t_end": 0.002, "n_snapshots": 2,
                                    "width": 0.1, "smooth_interior": True},
+    # 0.003 * 3 / 3 and 0.03 * 11 / 11 both miss t_end by an ulp
+    "simulate-sharp t_end ulp": {"kind": "sharp", "eps": 0.05,
+                                 "t_end": 0.003, "n_snapshots": 3,
+                                 "n_sharp": 64},
+    "simulate-diffuse t_end ulp": {"kind": "diffuse", "eps": 0.1,
+                                   "t_end": 0.03, "n_snapshots": 11},
 }
 
 
@@ -119,6 +127,25 @@ def bracket_digest() -> str:
     return hashlib.sha256(floats.tobytes()).hexdigest()
 
 
+def convergence_digest() -> str:
+    """convergence_study at eps 0.1 and 0.05 (the diffuse grids at n = 40
+    and 80) against a sharp reference at n = 64, to t = 2e-3 with four
+    snapshots. Hashes the times, the per-snapshot front distances, the
+    field gaps and the fitted slope and intercept."""
+    from haptolab.analysis import convergence_study
+    from haptolab.diffuse import CosineSpec, ShapeSpec, StudyConfig
+    cfg = StudyConfig(ShapeSpec("circle", (0.5, 0.5), 0.25),
+                      CosineSpec(1.0, ((1, 1, 0.2),)),
+                      CosineSpec(0.3, ((2, 0, 0.1),)),
+                      t_end=2e-3, n_sharp=64)
+    rec = convergence_study(cfg, [0.1, 0.05])
+    floats = np.array([*rec.times, *np.ravel(rec.per_time_distance),
+                       *rec.interface_distance, *rec.v_gap, *rec.m_gap,
+                       rec.interface_slope, rec.interface_intercept],
+                      dtype=float)
+    return hashlib.sha256(floats.tobytes()).hexdigest()
+
+
 def cli_digests(name: str, config: dict) -> list[tuple[str, str]]:
     from haptolab.cli import main
     command = name.split()[0]
@@ -147,6 +174,8 @@ def main() -> None:
           f"{hashlib.sha256(diffs.tobytes()).hexdigest()}", flush=True)
     print(f"run_sharp two fronts: {two_front_digest()}", flush=True)
     print(f"bracket_check eps 0.025: {bracket_digest()}", flush=True)
+    print(f"convergence_study eps 0.1, 0.05: {convergence_digest()}",
+          flush=True)
 
 
 if __name__ == "__main__":
