@@ -96,14 +96,12 @@ def check_generation(snaps: list[DiffuseState], u0: ScalarField, eps: float,
 
 
 def fit_M0(snaps: list[DiffuseState], u0: ScalarField, eps: float,
-           eta: float, candidates=None) -> float:
+           eta: float, candidates) -> float:
     """Smallest candidate M0 with a clean generation report.
 
     Fitted once on the coarsest-eps reference case and then frozen for the
     rest of the study; raises if no candidate works.
     """
-    if candidates is None:
-        candidates = [0.25 * k for k in range(1, 41)]
     for m0 in sorted(candidates):
         if check_generation(snaps, u0, eps, eta, m0).passed:
             return float(m0)
@@ -209,6 +207,8 @@ def convergence_study(cfg: StudyConfig, eps_list) -> ConvergenceRecord:
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps list must be strictly decreasing")
+    for eps in eps_list:  # a bad eps raises ConfigError before any solve
+        grid_for_eps(eps)
     sharp_snaps = sharp_reference(cfg, cfg.params(eps_list[0]))
 
     gap_grid = Grid.unit_square(64)
@@ -221,7 +221,8 @@ def convergence_study(cfg: StudyConfig, eps_list) -> ConvergenceRecord:
         for d_snap, s_snap in zip(snaps[1:], sharp_snaps[1:], strict=True):
             gamma_eps = extract_level_curve(d_snap.u, 0.5)
             gamma_0 = extract_level_curve(s_snap.phi, 0.0)
-            dists.append(one_sided_sup_distance(gamma_eps, gamma_0))
+            dists.append(one_sided_sup_distance(gamma_eps, gamma_0,
+                                                0.5 * d_snap.u.grid.h))
             vg = max(vg, _field_gap(d_snap.v, gap_grid, s_snap.v))
             mg = max(mg, _field_gap(d_snap.m, gap_grid, s_snap.m))
         rec.per_time_distance.append(dists)

@@ -43,7 +43,7 @@ KINDS = ("diffuse", "sharp", "compare", "generation", "convergence",
 _STUDY = {f.name: f.default for f in fields(StudyConfig)
           if f.default is not MISSING}
 _NESTED = {
-    "chi": {"variant": "linear", "coeffs": [], "v_max": 10.0},
+    "chi": {"variant": "linear", "coeffs": []},
     "shape": ShapeSpec().to_dict(),
     "v0": CosineSpec().to_dict(),
     "m0": CosineSpec(0.3).to_dict(),
@@ -189,7 +189,7 @@ def _run_sharp(cfg: RunConfig, out: Path):
     for i, s in enumerate(snaps):
         curve = extract_level_curve(s.phi, 0.0)
         write_curve(out / f"interface_{i:03d}.csv", curve)
-        rows.append((s.t, abs(curve.area()), curve.length()))
+        rows.append((s.t, curve.area(), curve.length()))
     write_csv(out / "metrics.csv", ["t", "area", "length"], rows)
 
 
@@ -220,12 +220,9 @@ def _run_generation(cfg: RunConfig, out: Path) -> bool:
 def _run_convergence(cfg: RunConfig, out: Path):
     rec = convergence_study(cfg.study, cfg.raw["eps_list"])
     (out / "convergence.json").write_text(rec.to_json() + "\n")
-    rows = []
-    for eps, dist, vg, mg in zip(rec.eps_list, rec.interface_distance,
-                                 rec.v_gap, rec.m_gap):
-        rows.append((eps, dist, vg, mg))
     write_csv(out / "convergence.csv",
-              ["eps", "interface_distance", "v_gap", "m_gap"], rows)
+              ["eps", "interface_distance", "v_gap", "m_gap"],
+              zip(rec.eps_list, rec.interface_distance, rec.v_gap, rec.m_gap))
 
 
 _PIPELINES = {

@@ -23,7 +23,6 @@ class InterfaceCurve:
     all loops; `write_curve` writes the primary loop only."""
 
     points: np.ndarray
-    grid: Grid | None = None
     extras: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
@@ -50,10 +49,19 @@ class InterfaceCurve:
         return float(np.linalg.norm(b - a, axis=1).sum())
 
     def area(self) -> float:
-        """Signed shoelace area summed over the loops (positive for
-        counterclockwise)."""
-        a, b = self.segments()
-        return float(0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
+        """Area inside the loops by the even-odd rule of the signed
+        distance's sign: each loop's |shoelace area|, negated when an odd
+        number of the other loops hold its first vertex. Marching squares
+        orients loops at random, so a shoelace sign cannot tell a hole."""
+        loops = [self.points, *self.extras]
+        total = 0.0
+        for i, p in enumerate(loops):
+            q = np.roll(p, -1, axis=0)
+            depth = sum(crossing_number_inside(p[:1], InterfaceCurve(o))[0]
+                        for o in loops[:i] + loops[i + 1:])
+            total += (-1.0) ** depth * abs(float(0.5 * np.sum(
+                p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1])))
+        return total
 
     def resample(self, step: float) -> np.ndarray:
         """Points subdividing every segment at spacing <= step."""
@@ -202,7 +210,7 @@ def extract_level_curve(f: ScalarField, level: float) -> InterfaceCurve:
     if not polylines:
         raise EmptyLevelSetError("level set degenerate (no usable loop)")
     polylines.sort(key=lambda p: -len(p))
-    return InterfaceCurve(polylines[0], grid=g, extras=polylines[1:])
+    return InterfaceCurve(polylines[0], extras=polylines[1:])
 
 
 # --- distances ------------------------------------------------------------
@@ -305,11 +313,8 @@ def signed_distance_to_loop(curve: InterfaceCurve, grid: Grid) -> ScalarField:
 
 
 def one_sided_sup_distance(a: InterfaceCurve, b: InterfaceCurve,
-                           seg_step: float | None = None) -> float:
-    """sup over (subdivided) points of a of the distance to polyline b."""
-    if seg_step is None:
-        h = a.grid.h if a.grid is not None else None
-        seg_step = 0.5 * h if h else 0.5 * a.length() / len(a.segments()[0])
+                           seg_step: float) -> float:
+    """sup over a's points, subdivided at <= seg_step, of the distance to b."""
     samples = a.resample(seg_step)
     return float(distance_to_curve(samples, b).max())
 

@@ -55,19 +55,15 @@ class DiffuseState:
     t: float
     v_init: ScalarField  # frozen initial matrix field, basis of the v formula
 
-    def copy(self) -> "DiffuseState":
-        return DiffuseState(self.u.copy(), self.v.copy(), self.m.copy(),
-                            self.int_m.copy(), self.t, self.v_init)
-
-    def check_invariants(self, p: HaptoParams, tol: float = 1e-8):
+    def check_invariants(self):
         """Raise StabilityViolationError, naming the field, t, the worst
         cell, its value and the bound it broke, when u or m leaves [0, C0],
-        v leaves [0, v_init] or int_m turns negative (beyond tol)."""
+        v leaves [0, v_init] or int_m turns negative (beyond 1e-8)."""
         for name, f, hi in (("u", self.u.values, C0),
                             ("m", self.m.values, C0),
                             ("v", self.v.values, self.v_init.values),
                             ("int_m", self.int_m.values, np.inf)):
-            if f.min() >= -tol and np.all(f <= hi + tol):
+            if f.min() >= -1e-8 and np.all(f <= hi + 1e-8):
                 continue
             excess = np.maximum(-f, f - hi)  # distance outside [0, hi]
             k = np.unravel_index(np.argmax(excess), f.shape)
@@ -233,6 +229,16 @@ class StudyConfig:
                                      or self.prep_shift != 0):
             raise ValueError("smooth_interior profiles are defined for "
                              "circles with prep_shift 0 only")
+        # v0 <= v_top, and the enzymes only degrade the matrix (v = v_init
+        # exp(-lam int m)), so chi's signs matter on (0, v_top] only, if any
+        v_top = self.v0_spec.constant + sum(abs(a) for *_, a
+                                            in self.v0_spec.modes)
+        v = np.linspace(v_top / 1000.0, v_top, 1000 if v_top > 0 else 0)
+        if np.any(self.chi.chi(v) <= 0):
+            raise ValueError(f"chi must be positive on (0, {v_top:g}]")
+        if self.chi.variant != "constant" and np.any(
+                self.chi.chi_prime(v) <= 0):
+            raise ValueError(f"chi' must be positive on (0, {v_top:g}]")
 
     def snapshot_times(self) -> tuple[float, ...]:
         """The run's marks t_end k/n for 0 < k < n, then t_end itself:
@@ -262,8 +268,8 @@ def make_initial_data(cfg: StudyConfig, eps: float, grid: Grid
     eps outside the nominal interface (generic data for localization
     studies never sits exactly on the limit front). The interface must
     clear the walls by 4 cfg.d0, and {u0 > 1/2} must be one component away
-    from the boundary. The state starts with no enzyme integral, and its
-    v and v_init are separate arrays.
+    from the boundary. The state starts with no enzyme integral and with
+    v = v_init.
     """
     shape = cfg.shape
     width = cfg.width if cfg.width is not None else math.sqrt(2.0) * eps
@@ -298,7 +304,7 @@ def make_initial_data(cfg: StudyConfig, eps: float, grid: Grid
     if np.any(labels[border] != 0):
         raise InvalidInitialDataError("{u0 > 1/2} touches the boundary")
     return DiffuseState(u=u0, v=v0, m=m0, int_m=ScalarField.full(grid, 0.0),
-                        t=0.0, v_init=v0.copy())
+                        t=0.0, v_init=v0)
 
 
 def uniform_state(grid: Grid, u: float, v: float, m: float) -> DiffuseState:
@@ -423,7 +429,7 @@ def step_diffuse(s: DiffuseState, p: HaptoParams, dt: float,
                        s.v_init)
     out.u.assert_finite("u")
     out.m.assert_finite("m")
-    out.check_invariants(p)
+    out.check_invariants()
     return out
 
 
@@ -433,16 +439,16 @@ def march(s0, t_end: float, snapshot_times, advance) -> list:
     advance(s, mark) returns the state one step on from s, without passing
     mark. The marks are the distinct snapshot times and t_end later than
     s0.t, in order; a state within 1e-14 of a mark has reached it. Returns
-    a copy of s0 and one of the state at each mark, whose t is set to the
-    mark exactly (absorbing round-off on the hit). A
-    StabilityViolationError from advance is raised again with the number
-    of its step, counted from 1, appended.
+    s0 and the state at each mark, whose t is set to the mark exactly
+    (absorbing round-off on the hit); no step writes into a state's arrays,
+    so none is copied. A StabilityViolationError from advance is raised
+    again with the number of its step, counted from 1, appended.
     """
     if t_end < s0.t:
         raise ValueError("t_end before current time")
     marks = sorted({float(t) for t in snapshot_times} | {t_end})
     s = s0
-    snaps = [s.copy()]
+    snaps = [replace(s0)]
     step = 0
     for mark in (t for t in marks if t > s0.t):
         while s.t < mark - 1e-14:
@@ -452,7 +458,7 @@ def march(s0, t_end: float, snapshot_times, advance) -> list:
             except StabilityViolationError as e:
                 raise StabilityViolationError(f"{e}, at step {step}") from e
         s = replace(s, t=mark)
-        snaps.append(s.copy())
+        snaps.append(s)
     return snaps
 
 

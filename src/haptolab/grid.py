@@ -79,9 +79,6 @@ class ScalarField:
         X, Y = grid.meshgrid()
         return cls(grid, np.asarray(fn(X, Y), dtype=float))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
     def assert_finite(self, what: str = "field"):
         if not np.all(np.isfinite(self.values)):
             raise FloatingPointError(f"{what} contains non-finite values")

@@ -13,6 +13,7 @@ from scipy.special import expit
 from .errors import ConstantsInfeasibleError, SolverFailureError
 
 SQRT2 = math.sqrt(2.0)
+PROFILE_TOL, PROFILE_ITERS = 1e-13, 30  # solve_profile_bvp's Newton stop
 
 
 # --- bistable nonlinearity ------------------------------------------------
@@ -44,8 +45,7 @@ class ProfileTable:
     u: np.ndarray
 
 
-def solve_profile_bvp(half_width: float, n: int, tol: float = 1e-13,
-                      max_iter: int = 30) -> ProfileTable:
+def solve_profile_bvp(half_width: float, n: int) -> ProfileTable:
     """Independent numerical oracle for the standing profile.
 
     Newton iteration on the Numerov discretization of u'' + f(u) = 0 on
@@ -66,11 +66,11 @@ def solve_profile_bvp(half_width: float, n: int, tol: float = 1e-13,
     u[0], u[-1] = 1.0 - delta, delta
 
     w = hz * hz / 12.0
-    for _ in range(max_iter):
+    for _ in range(PROFILE_ITERS):
         fu = f_bistable(u)
         res = (u[2:] - 2.0 * u[1:-1] + u[:-2]
                + w * (fu[2:] + 10.0 * fu[1:-1] + fu[:-2]))
-        if np.abs(res).max() <= tol:
+        if np.abs(res).max() <= PROFILE_TOL:
             break
         fp = f_prime(u)
         diag = -2.0 + 10.0 * w * fp[1:-1]
@@ -84,7 +84,7 @@ def solve_profile_bvp(half_width: float, n: int, tol: float = 1e-13,
         u[1:-1] += du
     else:
         raise SolverFailureError(
-            f"profile Newton did not reach {tol:.1e} in {max_iter} iterations"
+            f"profile Newton missed {PROFILE_TOL:.0e} in {PROFILE_ITERS} steps"
         )
     # phase normalization: enforce the odd symmetry about (0, 1/2)
     u = 0.5 * (u + 1.0 - u[::-1])
@@ -103,7 +103,7 @@ def is_number(x, integer: bool = False) -> bool:
 
 @dataclass(frozen=True)
 class ChiSpec:
-    """Smooth sensitivity chi(v) with chi > 0, chi' > 0 on (0, v_max].
+    """Smooth sensitivity chi(v); StudyConfig checks its signs on v's range.
 
     The 'constant' variant (chi' = 0) is the haptotaxis-off switch used by
     the mean-curvature-flow oracles and is exempt from the chi' > 0 check.
@@ -111,19 +111,15 @@ class ChiSpec:
 
     variant: str = "linear"
     coeffs: tuple[float, ...] = (0.0, 1.0)
-    v_max: float = 10.0
 
     def __post_init__(self):
         if self.variant not in ("linear", "log1p", "polynomial", "constant"):
             raise ValueError(f"unknown chi variant {self.variant!r}")
-        if not (is_number(self.v_max) and self.v_max > 0
-                and all(is_number(c) for c in self.coeffs)):
-            raise ValueError("chi needs numeric coeffs and a positive v_max")
-        v = np.linspace(self.v_max / 1000.0, self.v_max, 1000)
-        if np.any(self.chi(v) <= 0):
-            raise ValueError("chi must be positive on (0, v_max]")
-        if self.variant != "constant" and np.any(self.chi_prime(v) <= 0):
-            raise ValueError("chi' must be positive on (0, v_max]")
+        count = {"linear": 2, "log1p": 1, "constant": 1}.get(self.variant)
+        if not (self.coeffs and all(is_number(c) for c in self.coeffs)
+                and count in (None, len(self.coeffs))):
+            raise ValueError(f"chi {self.variant} takes "
+                             f"{count or 'one or more'} numeric coeffs")
 
     @classmethod
     def identity(cls) -> "ChiSpec":
@@ -163,7 +159,7 @@ class ChiSpec:
         variant = d["variant"]
         coeffs = tuple(d["coeffs"]) or {
             "constant": (1.0,), "log1p": (1.0,)}.get(variant, (0.0, 1.0))
-        return cls(variant, coeffs, d["v_max"])
+        return cls(variant, coeffs)
 
 
 # --- envelope constants ---------------------------------------------------

@@ -46,10 +46,6 @@ class SharpState:
     v_init: ScalarField
     d0: float                 # clamp scale; phi is exact within 2*d0
 
-    def copy(self) -> "SharpState":
-        return SharpState(self.phi.copy(), self.v.copy(), self.m.copy(),
-                          self.int_m.copy(), self.t, self.v_init, self.d0)
-
     def interface(self) -> InterfaceCurve:
         return extract_level_curve(self.phi, 0.0)
 
@@ -105,9 +101,8 @@ def clamped_signed_distance(curve: InterfaceCurve, grid: Grid,
 def init_levelset(curve: InterfaceCurve, grid: Grid, v0: ScalarField,
                   m0: ScalarField, d0: float = 0.04) -> SharpState:
     phi = clamped_signed_distance(curve, grid, d0)
-    return SharpState(phi=phi, v=v0.copy(), m=m0.copy(),
-                      int_m=ScalarField.full(grid, 0.0), t=0.0,
-                      v_init=v0.copy(), d0=d0)
+    return SharpState(phi=phi, v=v0, m=m0, int_m=ScalarField.full(grid, 0.0),
+                      t=0.0, v_init=v0, d0=d0)
 
 
 def _band_stencil(values: np.ndarray, band: np.ndarray):

@@ -185,7 +185,7 @@ def test_criterion_6_invariants_and_bracket():
     bounds_ok = True
     try:
         for s in snaps:
-            s.check_invariants(p, tol=1e-8)
+            s.check_invariants()
     except Exception:
         bounds_ok = False
     v_mono = all(

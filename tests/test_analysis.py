@@ -87,7 +87,7 @@ class TestGeneration:
         X, Y = grid.meshgrid()
         u0 = ScalarField(grid, 0.5 + 0.4 * np.cos(np.pi * X) * np.cos(np.pi * Y))
         s0 = uniform_state(grid, 0.0, 1.0, 0.0)
-        s0.u = u0.copy()
+        s0.u = u0
         t_star = generation_time(eps)
         snaps = run_diffuse(s0, p, t_star, snapshot_times=(t_star,))
         counts = []
@@ -218,6 +218,17 @@ class TestStudyPlumbing:
         cfg = StudyConfig(ShapeSpec(), CosineSpec(), CosineSpec())
         with pytest.raises(ConfigError):
             convergence_study(cfg, [0.01, 0.02])
+
+    def test_every_eps_checked_before_any_solve(self, monkeypatch):
+        # 4/0.03 is no whole number of cells; the study used to solve the
+        # sharp reference and the run at 0.04 before it found out
+        calls = []
+        monkeypatch.setattr(analysis, "sharp_reference",
+                            lambda *args: calls.append(args))
+        cfg = StudyConfig(ShapeSpec(), CosineSpec(), CosineSpec())
+        with pytest.raises(ConfigError, match="eps = 0.03"):
+            convergence_study(cfg, [0.04, 0.03])
+        assert calls == []
 
     def test_small_study_structure(self):
         cfg = StudyConfig(

@@ -65,7 +65,7 @@ class TestConfig:
         {"shape": {"kind": "star", "r0": 1.5, "amp": True, "k": 4}},
         {"shape": {"kind": "star", "amp": 0.03, "k": True}},
         {"v0": {"constant": True}}, {"m0": {"modes": [[True, 0, 0.1]]}},
-        {"v0": {"modes": [[1, 0, True]]}}, {"chi": {"v_max": True}},
+        {"v0": {"modes": [[1, 0, True]]}}, {"n_sharp": True},
         {"chi": {"coeffs": [0.0, True]}},
     ])
     def test_booleans_are_not_numbers(self, tmp_path, extra):
@@ -100,7 +100,7 @@ class TestPipelines:
     def test_compare_tracks_shrinking_circle(self, tmp_path):
         cfg = parse_config(write_config(
             tmp_path, kind="compare", eps=0.05,
-            chi={"variant": "constant", "coeffs": [], "v_max": 10.0},
+            chi={"variant": "constant", "coeffs": []},
             t_end=0.004, n_snapshots=2, n_sharp=128,
         ))
         out, _ = run_experiment(cfg, out_dir=tmp_path / "run")
@@ -175,7 +175,7 @@ class TestMain:
         # star is no circle
         configs = [
             {"v0": {"constant": 1.0, "modes": [[1, 0, 0.5]]}},
-            {"chi": {"variant": "constant", "coeffs": [], "v_max": 10.0},
+            {"chi": {"variant": "constant", "coeffs": []},
              "shape": {"kind": "star", "center": [0.5, 0.5], "r0": 0.25,
                        "amp": 0.03, "k": 4}},
         ]
@@ -188,8 +188,7 @@ class TestMain:
             assert "constant chi" in capsys.readouterr().err
 
     def test_chi_variant_alone_takes_defaults(self, tmp_path):
-        # coeffs and v_max left out of the chi object take the variant's
-        # defaults
+        # coeffs left out of the chi object take the variant's defaults
         path = write_config(tmp_path, kind="sharp",
                             chi={"variant": "constant"}, t_end=1e-4,
                             n_sharp=32)
@@ -197,6 +196,20 @@ class TestMain:
                      "--out", str(tmp_path / "run")])
         assert code == 0
         assert parse_config(path).study.chi == ChiSpec.constant()
+
+    def test_chi_checked_on_the_range_of_v0(self, tmp_path, capsys):
+        # chi = 2v - 0.09 v^2 rises on (0, 11.1) only, short of v0 = 15;
+        # chi = 2v - 0.11 v^2 rises on (0, 9.1), all of v0 = 1's range
+        runs = [(15.0, -0.09, 2), (1.0, -0.11, 0)]
+        for i, (v0, c2, expected) in enumerate(runs):
+            path = write_config(
+                tmp_path, name=f"c{i}.json", kind="diffuse", eps=0.2,
+                t_end=1e-4, n_snapshots=1, v0={"constant": v0},
+                chi={"variant": "polynomial", "coeffs": [0, 2, c2]})
+            code = main(["simulate-diffuse", "--config", str(path),
+                         "--out", str(tmp_path / f"run{i}")])
+            assert code == expected
+        assert "chi' must be positive on (0, 15]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         {"kind": "sharp", "shape": {"kind": "circle", "radius": 0.3}},
@@ -219,13 +232,17 @@ class TestMain:
         {"kind": "sharp", "v0": {"modes": [[1.5, 0, 0.1]]}},
         {"kind": "sharp", "n_snapshots": True},
         {"kind": "diffuse", "eps": 0.2, "eps_list": "nonsense"},
+        {"kind": "diffuse", "eps": 0.2, "v0": {"constant": 0.0},
+         "chi": {"coeffs": [1.0]}},
+        {"kind": "sharp", "chi": {"v_max": 10.0}},
     ], ids=["unknown-shape-key", "unknown-shape-kind", "tiny-n_sharp",
             "negative-width", "negative-eta", "negative-M0", "center-string",
             "center-one-number", "fractional-n_snapshots", "eps_list-string",
             "smooth_interior-star", "smooth_interior-prep_shift",
             "smooth_interior-string", "prep_shift-string", "fractional-k",
             "fractional-mode-index", "boolean-n_snapshots",
-            "eps_list-on-diffuse"])
+            "eps_list-on-diffuse", "linear-chi-one-coeff-v0-zero",
+            "chi-v_max"])
     def test_exit_two_on_invalid_nested_or_value(self, tmp_path, capsys,
                                                   extra):
         path = write_config(tmp_path, **{"t_end": 1e-4, "n_snapshots": 1,

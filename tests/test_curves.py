@@ -20,7 +20,7 @@ from haptolab.errors import EmptyLevelSetError
 from haptolab.grid import Grid, ScalarField, interpolate_bilinear
 
 
-def hausdorff(a, b, seg_step=None):
+def hausdorff(a, b, seg_step):
     return max(one_sided_sup_distance(a, b, seg_step),
                one_sided_sup_distance(b, a, seg_step))
 
@@ -149,8 +149,9 @@ class TestEveryLoop:
         # the far side of the second circle lies 0.52 - 0.12 = 0.4 from the
         # first circle
         two, one, _ = two_fronts
-        assert hausdorff(two, one) == pytest.approx(0.4, abs=2e-3)
-        assert one_sided_sup_distance(one, two) < 2e-3
+        h = 1 / 96
+        assert hausdorff(two, one, 0.5 * h) == pytest.approx(0.4, abs=2e-3)
+        assert one_sided_sup_distance(one, two, 0.5 * h) < 2e-3
 
     def test_distance_matches_bruteforce(self, two_fronts):
         two, _, _ = two_fronts
@@ -169,7 +170,7 @@ class TestEveryLoop:
 
     def test_signed_distance_to_every_loop(self, two_fronts):
         two, _, exact = two_fronts
-        sd = signed_distance_to_loop(two, two.grid)
+        sd = signed_distance_to_loop(two, Grid.unit_square(96))
         assert np.abs(sd.values - exact).max() < 1e-3
 
     def test_inside_test_covers_every_loop(self, two_fronts):
@@ -218,6 +219,27 @@ def test_crossing_number_circle():
     # points almost on the polyline may flip either way
     margin = np.abs(np.linalg.norm(pts - 0.5, axis=1) - 0.3) > 1e-3
     assert np.array_equal(inside[margin], truth[margin])
+
+
+@pytest.mark.parametrize("field, exact", [
+    # an annulus 0.15 < r < 0.3: both loops turn the same way
+    (lambda X, Y, r: np.abs(r - 0.225) - 0.075,
+     np.pi * (0.3**2 - 0.15**2)),
+    # the annulus 0.2 < r < 0.3 with an island r < 0.1 in its hole
+    (lambda X, Y, r: np.minimum(np.abs(r - 0.25) - 0.05, r - 0.1),
+     np.pi * (0.3**2 - 0.2**2 + 0.1**2)),
+    # two blobs
+    (lambda X, Y, r: np.minimum(np.hypot(X - 0.3, Y - 0.5) - 0.12,
+                                np.hypot(X - 0.72, Y - 0.5) - 0.1),
+     np.pi * (0.12**2 + 0.1**2)),
+], ids=["annulus", "island-in-annulus", "two-blobs"])
+def test_area_counts_holes_by_even_odd(field, exact):
+    g = Grid.unit_square(128)
+    X, Y = g.meshgrid()
+    c = extract_level_curve(
+        ScalarField(g, field(X, Y, np.hypot(X - 0.5, Y - 0.5))), 0.0)
+    assert c.n_components > 1
+    assert abs(c.area() - exact) < 2 * g.h**2
 
 
 def test_area_and_roundtrip(tmp_path):

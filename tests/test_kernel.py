@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from haptolab.diffuse import CosineSpec, ShapeSpec, StudyConfig
 from haptolab.errors import ConstantsInfeasibleError
 from haptolab.kernel import (
     SQRT2,
@@ -115,8 +116,18 @@ class TestChiSpec:
         assert np.all(chi.chi_prime(v) == 0.0)
 
     def test_rejects_nonincreasing(self):
-        with pytest.raises(ValueError):
-            ChiSpec("linear", (1.0, -1.0))
+        # chi = 2 - v is positive on the range (0, 1] of v0 = 1, chi' is not
+        with pytest.raises(ValueError,
+                           match=r"chi' must be positive on \(0, 1\]"):
+            StudyConfig(ShapeSpec(), CosineSpec(1.0), CosineSpec(0.3),
+                        chi=ChiSpec("linear", (2.0, -1.0)))
+
+    @pytest.mark.parametrize("variant, coeffs", [
+        ("linear", (1.0,)), ("linear", (0.0, 1.0, 2.0)), ("log1p", ()),
+        ("constant", (1.0, 2.0)), ("polynomial", ())])
+    def test_coefficient_count_checked(self, variant, coeffs):
+        with pytest.raises(ValueError, match="numeric coeffs"):
+            ChiSpec(variant, coeffs)
 
     def test_log1p_derivatives(self):
         chi = ChiSpec("log1p", (2.0,))

@@ -212,7 +212,7 @@ class TestMotion:
         grid = Grid.unit_square(96)
         s0 = circle_state(n=96, r=0.2)
         s0.v = ScalarField.from_function(grid, lambda x, y: 1.0 + 0.5 * x)
-        s0.v_init = s0.v.copy()
+        s0.v_init = s0.v
         p = HaptoParams(eps=0.05, lam=1e-8, alpha=1.0, chi=ChiSpec.identity())
         snaps = run_sharp(s0, p, 0.004)
         c0 = snaps[0].interface().points.mean(axis=0)
@@ -246,7 +246,7 @@ class TestStepBound:
         h = s.phi.grid.h
         band = np.abs(s.phi.values) < 2.5 * s.d0
         i, j = np.indices(band.shape)
-        twin = s.copy()
+        twin = replace(s)
         twin.phi = ScalarField(s.phi.grid, s.phi.values + np.where(
             band, 1e-6 * h * (-1.0) ** (i + j), 0.0))
         before = np.abs(twin.phi.values - s.phi.values).max()

@@ -43,8 +43,7 @@ CLI_CONFIGS = {
                        "v0": {"constant": 1.0, "modes": [[1, 1, 0.2]]}},
     "compare": {"kind": "compare", "eps": 0.05, "t_end": 0.004,
                 "n_snapshots": 2, "n_sharp": 128,
-                "chi": {"variant": "constant", "coeffs": [],
-                        "v_max": 10.0}},
+                "chi": {"variant": "constant", "coeffs": []}},
     "simulate-diffuse constant-chi": {"kind": "diffuse", "eps": 0.1,
                                       "t_end": 0.002, "n_snapshots": 2,
                                       "chi": {"variant": "constant"}},
@@ -101,7 +100,7 @@ def two_front_digest() -> str:
     phi = ScalarField(grid, 2.0 * _clamp(dist, d0))
     v0 = ScalarField(grid, 1.0 + 0.2 * np.cos(np.pi * X) * np.cos(np.pi * Y))
     s0 = SharpState(phi, v0, ScalarField.full(grid, 0.3),
-                    ScalarField.full(grid, 0.0), 0.0, v0.copy(), d0)
+                    ScalarField.full(grid, 0.0), 0.0, v0, d0)
     p = HaptoParams(eps=0.05, lam=1.0, alpha=1.0, chi=ChiSpec.identity())
     return state_digest(run_sharp(s0, p, 2e-3, snapshot_times=(1e-3,)))
 
