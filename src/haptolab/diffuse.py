@@ -307,14 +307,6 @@ def make_initial_data(cfg: StudyConfig, eps: float, grid: Grid
                         t=0.0, v_init=v0)
 
 
-def uniform_state(grid: Grid, u: float, v: float, m: float) -> DiffuseState:
-    return DiffuseState(
-        ScalarField.full(grid, u), ScalarField.full(grid, v),
-        ScalarField.full(grid, m), ScalarField.full(grid, 0.0), 0.0,
-        ScalarField.full(grid, v),
-    )
-
-
 # --- stepping -------------------------------------------------------------
 
 def chi_gradient(v: ScalarField, chi: ChiSpec):

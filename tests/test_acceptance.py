@@ -31,7 +31,6 @@ from haptolab.diffuse import (
     ShapeSpec,
     chi_gradient,
     dt_max,
-    run_diffuse,
     solve_vm_for_u,
     step_diffuse,
 )

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from conftest import uniform_state
 from haptolab import analysis
 from haptolab.analysis import (
-    BracketReport,
-    ConvergenceRecord,
     StudyConfig,
     check_generation,
     convergence_study,
@@ -29,7 +28,6 @@ from haptolab.diffuse import (
     HaptoParams,
     ShapeSpec,
     run_diffuse,
-    uniform_state,
 )
 from haptolab.errors import ConfigError, MissingSnapshotError
 from haptolab.grid import Grid, ScalarField, laplacian_neumann

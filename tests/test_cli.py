@@ -1,7 +1,6 @@
 """Tests for the command-line harness: config validation, artifact layout,
 determinism of emitted files, and exit codes."""
 import json
-import math
 
 import pytest
 

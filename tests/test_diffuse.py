@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.special import expit
 
+from conftest import uniform_state
 from haptolab import diffuse
 from haptolab.analysis import diffuse_run
 from haptolab.curves import (
@@ -21,7 +22,6 @@ from haptolab.curves import (
 )
 from haptolab.diffuse import (
     CosineSpec,
-    DiffuseState,
     HaptoParams,
     ShapeSpec,
     StudyConfig,
@@ -31,7 +31,6 @@ from haptolab.diffuse import (
     run_diffuse,
     solve_vm_for_u,
     step_diffuse,
-    uniform_state,
 )
 from haptolab.errors import InvalidInitialDataError, StabilityViolationError
 from haptolab.grid import Grid, ScalarField, heat_neumann
