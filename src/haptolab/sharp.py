@@ -114,48 +114,98 @@ def _mirror_ghosts(p: np.ndarray) -> None:
     p[:, -1] = p[:, -2]
 
 
+def _padded(values: np.ndarray) -> np.ndarray:
+    """values inside a mirror ghost ring (`_mirror_ghosts`). A phi that
+    `step_sharp` returned is the interior of such a grid already, which is
+    returned with its ghosts refreshed instead of a copy."""
+    nx, ny = values.shape
+    p = values.base
+    if (isinstance(p, np.ndarray) and p.shape == (nx + 2, ny + 2)
+            and p.strides == values.strides
+            and p[1:, 1:].ctypes.data == values.ctypes.data):
+        _mirror_ghosts(p)
+        return p
+    return np.pad(values, 1, mode="edge")
+
+
+def _padded_index(band: np.ndarray) -> np.ndarray:
+    """The band cells' flat indices in the ravel of the padded grid, in
+    the order of values[band]."""
+    ny = band.shape[1]
+    idx = np.flatnonzero(band)   # i ny + j
+    # (i + 1)(ny + 2) + j + 1, the same cell in the padded grid
+    return idx + 2 * (idx // ny) + ny + 3
+
+
 def _band_stencil(values: np.ndarray, band: np.ndarray):
-    """Where the band's stencils read: the mirror-padded grid (a ghost
-    cell equals its neighbour inside the grid, `_mirror_ghosts`), and the
-    flat indices in its ravel of the band cells' 3x3 neighbourhoods, one
-    column per cell in the order of values[band] and one row each for the
-    cell, (i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1), (i + 1, j + 1),
-    (i + 1, j - 1), (i - 1, j + 1) and (i - 1, j - 1): the order
-    `curvature_term` reads."""
+    """Where the band's stencils read: a new mirror-padded copy of the
+    grid (a ghost cell equals its neighbour inside the grid,
+    `_mirror_ghosts`), and the flat indices in its ravel of the band
+    cells' 3x3 neighbourhoods, one column per cell in the order of
+    values[band] and one row each for the cell, (i + 1, j), (i - 1, j),
+    (i, j + 1), (i, j - 1), (i + 1, j + 1), (i + 1, j - 1), (i - 1, j + 1)
+    and (i - 1, j - 1): the order `curvature_term` reads."""
     nx, ny = values.shape
     p = np.empty((nx + 2, ny + 2))
     p[1:-1, 1:-1] = values
     _mirror_ghosts(p)
-    idx = np.flatnonzero(band)   # i ny + j
-    # (i + 1)(ny + 2) + j + 1, the same cell in the padded grid
-    k = idx + 2 * (idx // ny) + ny + 3
     s = ny + 2
     offsets = np.array([0, s, -s, 1, -1, s + 1, s - 1, 1 - s, -1 - s])
-    return p, k + offsets[:, None]
+    return p, _padded_index(band) + offsets[:, None]
 
 
 def curvature_term(q: np.ndarray, h: float) -> np.ndarray:
     """(N-1) kappa |grad phi| via the quotient formula
     div(grad phi / |grad phi|) |grad phi|, for the band cells whose 3x3
     neighbourhoods q holds (phi gathered at `_band_stencil`'s indices);
-    band-ordered.
+    band-ordered. It runs in place: q's rows are its scratch, and the
+    result is one of them.
+
+    In the order it evaluates them, px = (xp - xm)/(2h),
+    py = (yp - ym)/(2h), pxx = (xp - 2c + xm)/h^2, pyy = (yp - 2c + ym)/h^2,
+    pxy = (pp - pm - mp + mm)/(4h^2), g2 = px^2 + py^2 and
+    (pxx py^2 - 2 px py pxy + pyy px^2)/g2, capped at |grad phi|/h.
     """
     c, xp, xm, yp, ym, pp, pm, mp, mm = q
-    px = (xp - xm) / (2 * h)
-    py = (yp - ym) / (2 * h)
-    pxx = (xp - 2 * c + xm) / h**2
-    pyy = (yp - 2 * c + ym) / h**2
-    pxy = (pp - pm - mp + mm) / (4 * h**2)
-    g2 = px**2 + py**2
-    if np.any(g2 < 1e-12):
+    pxy = pp
+    pxy -= pm
+    pxy -= mp
+    pxy += mm
+    pxy /= 4 * h**2
+    px = np.subtract(xp, xm, out=pm)
+    px /= 2 * h
+    py = np.subtract(yp, ym, out=mp)
+    py /= 2 * h
+    c *= 2
+    pxx = xp
+    pxx -= c
+    pxx += xm
+    pxx /= h**2
+    pyy = yp
+    pyy -= c
+    pyy += ym
+    pyy /= h**2
+    px2, py2 = np.square(px, out=xm), np.square(py, out=ym)
+    g2 = np.add(px2, py2, out=c)
+    if g2.min(initial=np.inf) < 1e-12:
         raise DegenerateLevelSetError(
             "level-set gradient collapsed inside the band; redistance"
         )
-    num = pxx * py**2 - 2 * px * py * pxy + pyy * px**2
+    num = pxx
+    num *= py2
+    cross = np.multiply(px, 2, out=mm)
+    cross *= py
+    cross *= pxy
+    num -= cross
+    pyy *= px2
+    num += pyy
+    num /= g2
     # the quotient formula blows up at interior extrema of phi (centers of
     # shrinking blobs); cap curvature at 1/h, the finest the grid resolves
-    lim = np.sqrt(g2) / h
-    return np.clip(num / g2, -lim, lim)
+    lim = np.sqrt(g2, out=ym)
+    lim /= h
+    np.maximum(num, np.negative(lim, out=xm), out=num)
+    return np.minimum(num, lim, out=num)
 
 
 def _upwind_stencil(nine: np.ndarray, w, band: np.ndarray):
@@ -184,14 +234,16 @@ def _band_gradient_norm(phi: np.ndarray, band: np.ndarray,
     np.hypot(*np.gradient(phi, h, edge_order=1))[band]: centered
     differences inside, one-sided on the wall ring. At a wall the ghost
     equals the cell next to it, so the padded difference there is the
-    one-sided one and only its divisor changes from 2h to h."""
+    one-sided one and only its divisor changes from 2h to h. It reads the
+    padded grid `_padded` gives, the step's own for a phi `step_sharp`
+    returned."""
     nx, ny = phi.shape
-    p, nine = _band_stencil(phi, band)
-    i, j = np.divmod(nine[0], ny + 2)
+    buf, k, s = _padded(phi).ravel(), _padded_index(band), ny + 2
+    i, j = np.divmod(k, s)
     dx = np.where((i == 1) | (i == nx), h, 2. * h)
     dy = np.where((j == 1) | (j == ny), h, 2. * h)
-    xp, xm, yp, ym = p.ravel()[nine[1:5]]
-    return np.hypot((xp - xm) / dx, (yp - ym) / dy)
+    return np.hypot((buf[k + s] - buf[k - s]) / dx,
+                    (buf[k + 1] - buf[k - 1]) / dy)
 
 
 def _rkl2_stages(dt: float, h: float) -> int:
@@ -216,17 +268,26 @@ def _rkl2_step(y0: np.ndarray, rate, dt: float, stages: int) -> np.ndarray:
     w_1 = 4/(s^2 + s - 2), mu~_1 = b_1 w_1, mu_j = (2j - 1) b_j/(j b_(j-1)),
     nu_j = -(j - 1) b_j/(j b_(j-2)), mu~_j = mu_j w_1 and
     gamma~_j = -(1 - b_(j-1)) mu~_j. It is second order and calls rate s
-    times."""
+    times. A stage sums its five terms in that order on three rotating
+    buffers, so rate's result is read before rate is called again and
+    may be scratch that the next call overwrites."""
     b = [1 / 3] * 3 + [(j * j + j - 2) / (2 * j * (j + 1))
                        for j in range(3, stages + 1)]
     w1 = 4 / (stages * stages + stages - 2)
     l0 = dt * rate(y0)
-    prev, y = y0, y0 + b[1] * w1 * l0
+    y = b[1] * w1 * l0
+    y += y0
+    prev, new = y0.copy(), np.empty_like(y0)
     for j in range(2, stages + 1):
         mu = (2 * j - 1) / j * b[j] / b[j - 1]
         nu = -(j - 1) / j * b[j] / b[j - 2]
-        prev, y = y, (mu * y + nu * prev + (1 - mu - nu) * y0
-                      + mu * w1 * dt * rate(y) - (1 - b[j - 1]) * mu * w1 * l0)
+        np.multiply(y, mu, out=new)
+        prev *= nu
+        new += prev
+        new += np.multiply(y0, 1 - mu - nu, out=prev)
+        new += np.multiply(rate(y), mu * w1 * dt, out=prev)
+        new -= np.multiply(l0, (1 - b[j - 1]) * mu * w1, out=prev)
+        prev, y, new = y, new, prev
     return y
 
 
@@ -238,7 +299,10 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
     |phi| < 2.5 d0 of s.phi, taken once for the step; the cells off it keep
     their values. The step takes `_rkl2_stages(dt, h)` stages
     (`_rkl2_step`). Every stage writes its band values into one
-    mirror-padded buffer and reads its stencils there.
+    mirror-padded buffer and gathers its stencils from there into one
+    buffer of the step, which `curvature_term` works in. The new phi is
+    the padded buffer's interior, where `run_sharp`'s front pass reads
+    |grad phi| (`_padded`).
 
     w is the drift chi_gradient(s.v, p.chi); None (constant chi) means no
     drift, and the front moves by curvature alone. With evolve_fields=False
@@ -250,20 +314,22 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
     band = np.abs(s.phi.values) < 2.5 * s.d0
     pad, nine = _band_stencil(s.phi.values, band)
     buf, k = pad.ravel(), nine[0]
+    q = np.empty(nine.shape)
     if w is not None:
         up, a = _upwind_stencil(nine, w, band)
+        q_up = np.empty(up.shape)
 
     def rate(y: np.ndarray) -> np.ndarray:
         buf[k] = y
         _mirror_ghosts(pad)
-        out = curvature_term(buf[nine], h)
+        out = curvature_term(np.take(buf, nine, out=q, mode="clip"), h)
         if w is not None:
-            out -= _upwind_advection(y, buf[up], a, h)
+            out -= _upwind_advection(
+                y, np.take(buf, up, out=q_up, mode="clip"), a, h)
         return out
 
-    y = _rkl2_step(buf[k], rate, dt, _rkl2_stages(dt, h))
-    buf[k] = y
-    phi = pad[1:-1, 1:-1].copy()
+    buf[k] = _rkl2_step(buf[k], rate, dt, _rkl2_stages(dt, h))
+    phi = pad[1:-1, 1:-1]   # `_padded` finds pad again from it
 
     if evolve_fields:
         u_ind = (s.phi.values < 0).astype(float)

@@ -360,6 +360,101 @@ class TestRKL2:
         assert max(self.joint_growth(a, fewer=1) for a in outside) > 1.5
 
 
+def allocating_curvature(q, h):
+    """curvature_term as one allocating expression per quantity: the
+    oracle for the in-place version, operation for operation."""
+    c, xp, xm, yp, ym, pp, pm, mp, mm = q
+    px = (xp - xm) / (2 * h)
+    py = (yp - ym) / (2 * h)
+    pxx = (xp - 2 * c + xm) / h**2
+    pyy = (yp - 2 * c + ym) / h**2
+    pxy = (pp - pm - mp + mm) / (4 * h**2)
+    g2 = px**2 + py**2
+    if np.any(g2 < 1e-12):
+        raise DegenerateLevelSetError("collapsed")
+    num = pxx * py**2 - 2 * px * py * pxy + pyy * px**2
+    lim = np.sqrt(g2) / h
+    return np.clip(num / g2, -lim, lim)
+
+
+def allocating_rkl2(y0, rate, dt, stages):
+    """_rkl2_step as one allocating expression per stage: the oracle for
+    the in-place version, operation for operation."""
+    b = [1 / 3] * 3 + [(j * j + j - 2) / (2 * j * (j + 1))
+                       for j in range(3, stages + 1)]
+    w1 = 4 / (stages * stages + stages - 2)
+    l0 = dt * rate(y0)
+    prev, y = y0, y0 + b[1] * w1 * l0
+    for j in range(2, stages + 1):
+        mu = (2 * j - 1) / j * b[j] / b[j - 1]
+        nu = -(j - 1) / j * b[j] / b[j - 2]
+        prev, y = y, (mu * y + nu * prev + (1 - mu - nu) * y0
+                      + mu * w1 * dt * rate(y) - (1 - b[j - 1]) * mu * w1 * l0)
+    return y
+
+
+class TestInPlace:
+    """The in-place stage against the allocating formulas it replaced,
+    bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+           h=st.sampled_from([1.0 / 256, 0.37, 1e-3]),
+           flat=st.lists(st.integers(0, 39), max_size=3))
+    def test_curvature_term(self, m, seed, h, flat):
+        # 3x3 samples of random quadratics plus noise, in full precision
+        # so that a reordered sum rounds differently, most of them below
+        # the curvature cap; m = 0 is an empty band, and a column with
+        # xp = xm and yp = ym is a degenerate cell, which must still raise
+        rng = np.random.default_rng(seed)
+        ox = h * np.array([0, 1, -1, 0, 0, 1, 1, -1, -1])[:, None]
+        oy = h * np.array([0, 0, 0, 1, -1, 1, -1, 1, -1])[:, None]
+        a, b, c, gx, gy, f = rng.uniform(-1.0, 1.0, (6, 1, m))
+        q = (f + gx * ox + gy * oy + 4 * (a * ox**2 + b * ox * oy + c * oy**2)
+             + rng.choice([0.0, 1e-3, 1.0]) * h**2 * rng.uniform(
+                 -1.0, 1.0, (9, m)))
+        for i in (i for i in flat if i < m):
+            q[2, i], q[4, i] = q[1, i], q[3, i]
+        try:
+            expected = allocating_curvature(q, h)
+        except DegenerateLevelSetError:
+            with pytest.raises(DegenerateLevelSetError):
+                curvature_term(q.copy(), h)
+        else:
+            np.testing.assert_array_equal(curvature_term(q.copy(), h),
+                                          expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+           z=st.floats(-10.0, 0.0), dt=st.floats(1e-3, 1.0),
+           stages=st.integers(2, 12))
+    def test_rkl2_step(self, m, seed, z, dt, stages):
+        y0 = np.random.default_rng(seed).uniform(-2.0, 2.0, m)
+        # a nonlinear rate that returns one scratch array on every call,
+        # as step_sharp's does
+        scratch = np.empty_like(y0)
+
+        def rate(y):
+            out = np.multiply(y, z, out=scratch)
+            out -= np.sin(y)
+            return out
+
+        expected = allocating_rkl2(y0, rate, dt, stages)
+        before = y0.copy()
+        np.testing.assert_array_equal(_rkl2_step(y0, rate, dt, stages),
+                                      expected)
+        np.testing.assert_array_equal(y0, before)
+
+    def test_step_leaves_its_input_alone(self):
+        # a stepped phi is the interior of the step's padded buffer; the
+        # next step must pad a copy, not write into it
+        s = step_sharp(circle_state(n=64), mcf, 1e-4, None, False)
+        kept = s.phi.values.copy()
+        t = step_sharp(s, mcf, 1e-4, None, False)
+        np.testing.assert_array_equal(s.phi.values, kept)
+        assert not np.array_equal(t.phi.values, kept)
+
+
 class TestMarch:
     """run_sharp marches through the shared loop `march`."""
 
@@ -575,6 +670,13 @@ class TestBandStencils:
         gx, gy = np.gradient(phi, h, edge_order=1)
         np.testing.assert_array_equal(_band_gradient_norm(phi, band, h),
                                       np.hypot(gx, gy)[band])
+        # phi as the interior of a padded grid whose ghost ring is stale,
+        # as a stepped phi's is once its wall cells are written
+        pad = np.full((phi.shape[0] + 2, phi.shape[1] + 2), 7.0)
+        pad[1:-1, 1:-1] = phi
+        np.testing.assert_array_equal(
+            _band_gradient_norm(pad[1:-1, 1:-1], band, h),
+            np.hypot(gx, gy)[band])
 
     def test_collapsed_gradient_in_band_raises(self):
         # a plateau of phi: zero gradient at its centre, which is in the
