@@ -246,12 +246,20 @@ def _band_gradient_norm(phi: np.ndarray, band: np.ndarray,
                     (buf[k + 1] - buf[k - 1]) / dy)
 
 
+STEP_STAGES = 5   # the stages of a full step; run_sharp's cap is their reach
+
+
+def _rkl2_reach(stages: int, h: float) -> float:
+    """The longest step RKL2 with `stages` stages takes at spacing h:
+    (s^2 + s - 2)/4 explicit-Euler steps of h^2/3, the Euler bound h^2/2
+    with a 1.5x margin (`run_sharp`)."""
+    return h**2 / 3 * (stages * stages + stages - 2) / 4
+
+
 def _rkl2_stages(dt: float, h: float) -> int:
-    """The smallest s >= 2 with dt <= (h^2/3)(s^2 + s - 2)/4: RKL2 with s
-    stages is stable to (s^2 + s - 2)/4 explicit-Euler steps, and h^2/3
-    is the Euler bound h^2/2 with a 1.5x margin (`run_sharp`)."""
+    """The smallest s >= 2 with dt <= _rkl2_reach(s, h)."""
     s = 2
-    while dt > h**2 / 3 * (s * s + s - 2) / 4:
+    while dt > _rkl2_reach(s, h):
         s += 1
     return s
 
@@ -298,7 +306,7 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
     phi_t = K(phi) |grad phi| - w . grad phi is stepped on the band
     |phi| < 2.5 d0 of s.phi, taken once for the step; the cells off it keep
     their values. The step takes `_rkl2_stages(dt, h)` stages
-    (`_rkl2_step`). Every stage writes its band values into one
+    (`_rkl2_step`), 5 at `run_sharp`'s cap of 7 h^2/3. Every stage writes its band values into one
     mirror-padded buffer and gathers its stencils from there into one
     buffer of the step, which `curvature_term` works in. The new phi is
     the padded buffer's interior, where `run_sharp`'s front pass reads
@@ -436,24 +444,27 @@ def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
     `_upwind_advection`, `_band_gradient_norm`).
 
     Each step is one RKL2 super-step (`step_sharp`) with
-    dt = min(2 h^2, advection_dt(h, w), mark - t) and s stages, the
-    smallest s >= 2 with dt <= (h^2/3)(s^2 + s - 2)/4; 2 h^2 takes 5. The
-    curvature term linearises to a tangential second difference whose
-    symbol lies in [0, 4/h^2] for every direction and size of grad phi, so
-    explicit Euler is stable to h^2/2 (Osher and Sethian, JCP 79, 1988).
-    RKL2's stability polynomial R_s keeps |R_s(z)| <= 1 on
-    [-(s^2 + s - 2)/2, 0], (s^2 + s - 2)/4 Euler steps, so the stage rule
-    keeps Euler's 1.5x margin at h^2/3. With a drift w, over the
-    curvature symbols and first-order upwinding in every direction of w
-    and every wavenumber, the step is stable unless h max|w| lies in
-    [3/4, 0.774): there dt = h/(4 max|w|) <= h^2/3 takes 2 stages,
-    h (|wx| + |wy|) can reach 1.061, and the top mode grows by at most
-    4.13% a step. The drifts of the studies have h max|w| near 2.5e-3.
-    On criterion 2's shrink (bound 1%) the worst radius error read 0.16%
-    at 2 h^2, 0.11% at 3 h^2, 0.15% at 4 h^2, 0.54% at 5 h^2 and 0.27% at
-    6 h^2; 7 h^2 read 4.8% after 35 redistances, and 8 h^2 raised
-    BoundaryContactError; 2 h^2 is 3.5x below 7 h^2, the first step that
-    failed.
+    dt = min(7 h^2/3, advection_dt(h, w), mark - t) and s stages, the
+    smallest s >= 2 with dt <= (h^2/3)(s^2 + s - 2)/4. The cap 7 h^2/3 is
+    the full reach of 5 stages, `_rkl2_reach(STEP_STAGES, h)`, the bound
+    the stage rule itself computes: 7 * h**2 / 3 rounds above it at
+    n = 256 (and at every power of 2 from 32 to 512) and would take 6
+    stages. The curvature term linearises to a
+    tangential second difference whose symbol lies in [0, 4/h^2] for
+    every direction and size of grad phi, so explicit Euler is stable to
+    h^2/2 (Osher and Sethian, JCP 79, 1988). RKL2's stability polynomial
+    R_s keeps |R_s(z)| <= 1 on [-(s^2 + s - 2)/2, 0], (s^2 + s - 2)/4
+    Euler steps, so the stage rule keeps Euler's 1.5x margin at h^2/3.
+    With a drift w, over the curvature symbols and first-order upwinding
+    in every direction of w and every wavenumber, the step is stable
+    unless h max|w| lies in [3/4, 0.774): there dt = h/(4 max|w|) <= h^2/3
+    takes 2 stages, h (|wx| + |wy|) can reach 1.061, and the top mode
+    grows by at most 4.13% a step. The drifts of the studies have
+    h max|w| near 2.5e-3. On criterion 2's shrink (bound 1%) the worst
+    radius error read 0.16% at 2 h^2, 0.11% at 7 h^2/3, 0.11% at 3 h^2,
+    0.15% at 4 h^2, 0.54% at 5 h^2 and 0.27% at 6 h^2; 7 h^2 read 4.8%
+    after 35 redistances, and 8 h^2 raised BoundaryContactError; 7 h^2/3
+    is 3x below 7 h^2, the first step that failed.
     """
     grid = s0.phi.grid
     margin = 4 * s0.d0
@@ -484,7 +495,8 @@ def run_sharp(s0: SharpState, p: HaptoParams, t_end: float,
     def advance(s: SharpState, mark: float) -> SharpState:
         w = chi_gradient(s.v, p.chi)
         # the stage rule and the joint bound with drift: see the docstring
-        dt = min(2 * grid.h**2, advection_dt(grid.h, w), mark - s.t)
+        dt = min(_rkl2_reach(STEP_STAGES, grid.h), advection_dt(grid.h, w),
+                 mark - s.t)
         s = step_sharp(s, p, dt, w, evolve_fields=evolve_fields)
         return front_pass(s, fix_drift=True)
 

@@ -28,11 +28,13 @@ from haptolab.errors import (
 from haptolab.grid import Grid, ScalarField
 from haptolab.kernel import ChiSpec
 from haptolab.sharp import (
+    STEP_STAGES,
     SharpState,
     _band_gradient_norm,
     _band_stencil,
     _clamp,
     _grow,
+    _rkl2_reach,
     _rkl2_stages,
     _rkl2_step,
     _upwind_advection,
@@ -257,17 +259,18 @@ class TestMotion:
 
 
 class TestStepBound:
-    """run_sharp steps at 2 h^2 with the stages of the rule (5 there); the
-    curvature term's symbol lies in [0, 4/h^2], so 3 stages, stable to
-    1.25 h^2, are too few."""
+    """run_sharp steps at the reach of 5 stages, 7 h^2/3; the curvature
+    term's symbol lies in [0, 4/h^2], so 3 stages, stable to 1.25 h^2, are
+    too few."""
 
     @staticmethod
     def checkerboard_growth(steps=10):
-        # a 1e-6 h checkerboard on the band of a circle, stepped at 2 h^2
+        # a 1e-6 h checkerboard on the band of a circle, stepped at the cap
         # beside its unperturbed twin: the factor by which their
         # difference grew on the cells at least three rings inside the
         # band at every step (a cell leaving the band keeps its value)
         s = circle_state(n=64, r=0.25)
+        cap = _rkl2_reach(STEP_STAGES, s.phi.grid.h)
         h = s.phi.grid.h
         band = np.abs(s.phi.values) < 2.5 * s.d0
         i, j = np.indices(band.shape)
@@ -277,8 +280,8 @@ class TestStepBound:
         inner = ~_grow(~band, 3)
         before = np.abs(twin.phi.values - s.phi.values)[inner].max()
         for _ in range(steps):
-            s = step_sharp(s, mcf, 2 * h**2, None, False)
-            twin = step_sharp(twin, mcf, 2 * h**2, None, False)
+            s = step_sharp(s, mcf, cap, None, False)
+            twin = step_sharp(twin, mcf, cap, None, False)
             inner &= ~_grow(np.abs(s.phi.values) >= 2.5 * s.d0, 3)
         return np.abs(twin.phi.values - s.phi.values)[inner].max() / before
 
@@ -286,13 +289,13 @@ class TestStepBound:
         assert self.checkerboard_growth() < 0.5
 
     def test_checkerboard_grows_past_the_bound(self, monkeypatch):
-        # 3 stages at 2 h^2, one short of the 4 that 2 h^2 needs at least
+        # 3 stages at 7 h^2/3, two short of the 5 it needs at least
         import haptolab.sharp as sharp
-        assert _rkl2_stages(2.0, 1.0) == 5
+        assert STEP_STAGES == 5
         monkeypatch.setattr(sharp, "_rkl2_stages", lambda dt, h: 3)
         assert self.checkerboard_growth() > 100
 
-    def test_driftless_run_steps_at_2h2(self, monkeypatch):
+    def test_driftless_run_steps_at_the_cap(self, monkeypatch):
         import haptolab.sharp as sharp
         dts = []
 
@@ -302,9 +305,17 @@ class TestStepBound:
 
         monkeypatch.setattr(sharp, "step_sharp", counted)
         s0 = circle_state(n=64, r=0.25)
-        h = s0.phi.grid.h
-        run_sharp(s0, mcf, 7 * 2 * h**2)
-        assert dts == [2 * h**2] * 7
+        cap = _rkl2_reach(STEP_STAGES, s0.phi.grid.h)
+        run_sharp(s0, mcf, 7 * cap)
+        assert dts == [cap] * 7
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 200, 256, 512, 800])
+def test_cap_takes_five_stages(n):
+    # 7 * h**2 / 3 rounds above the stage rule's bound on most of these n
+    # and would take 6 stages; the cap is the rule's own bound
+    h = 1.0 / n
+    assert _rkl2_stages(_rkl2_reach(STEP_STAGES, h), h) == 5
 
 
 def amplification(z: np.ndarray, stages: int) -> np.ndarray:
@@ -334,14 +345,14 @@ class TestRKL2:
         """max |R_s(z)| over the linearised symbols of run_sharp's step at
         h = 1 with max|w| = a: curvature in [-4, 0] plus first-order
         upwinding of w = a (cos th, sin th), every wavenumber, at
-        dt = min(2, advection_dt), with the rule's stages minus `fewer`
+        dt = min(7/3, advection_dt), with the rule's stages minus `fewer`
         (2 at least)."""
         kappa = np.linspace(0.0, 4.0, 17)[:, None, None, None]
         k = np.linspace(-np.pi, np.pi, 17)
         kx, ky = k[None, :, None, None], k[None, None, :, None]
         th = np.linspace(0.0, np.pi / 2, 5)
         wx, wy = a * np.cos(th), a * np.sin(th)
-        dt = min(2.0, advection_dt(1.0, (wx, wy)))
+        dt = min(_rkl2_reach(STEP_STAGES, 1.0), advection_dt(1.0, (wx, wy)))
         z = dt * (-kappa - wx * (1 - np.exp(1j * kx))
                   - wy * (1 - np.exp(1j * ky)))
         stages = max(_rkl2_stages(dt, 1.0) - fewer, 2)
@@ -460,7 +471,7 @@ class TestMarch:
 
     def test_one_snapshot_per_distinct_mark(self):
         s0 = replace(circle_state(n=32, r=0.2), t=1e-4)
-        # dt = 2 h^2 = 2.0e-3; a mark a hair past s0.t takes no step, and
+        # dt = 7 h^2/3 = 2.3e-3; a mark a hair past s0.t takes no step, and
         # the snapshot there must not move s0's own clock
         times = (6e-4, 0.0, 1e-4, 1e-4 + 5e-15, 6e-4, 3e-4)
         snaps = run_sharp(s0, mcf, 1.2e-3, snapshot_times=times)
