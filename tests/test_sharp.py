@@ -34,6 +34,7 @@ from haptolab.sharp import (
     _band_stencil,
     _clamp,
     _grow,
+    _padded,
     _rkl2_reach,
     _rkl2_stages,
     _rkl2_step,
@@ -457,9 +458,11 @@ class TestInPlace:
         np.testing.assert_array_equal(y0, before)
 
     def test_step_leaves_its_input_alone(self):
-        # a stepped phi is the interior of the step's padded buffer; the
-        # next step must pad a copy, not write into it
+        # a stepped phi is the interior of the step's padded buffer, which
+        # the front pass reads; the next step must pad a copy, not write
+        # into it
         s = step_sharp(circle_state(n=64), mcf, 1e-4, None, False)
+        assert _padded(s.phi.values) is s.phi.values.base
         kept = s.phi.values.copy()
         t = step_sharp(s, mcf, 1e-4, None, False)
         np.testing.assert_array_equal(s.phi.values, kept)
