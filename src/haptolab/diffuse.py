@@ -2,13 +2,16 @@
 haptotactic advection for the cells u, the ODE for the matrix v, and the
 parabolic equation for the enzymes m.
 
-One step is a Strang split: half reaction (the exact flow of
-du/dt = f(u)/eps^2), full transport (upwind advection, then exact diffusion
-exp(dt*Laplacian) in the cosine basis for u; backward Euler for m),
-trapezoid update of the accumulated enzyme integral with exact exponential
-reconstruction of v, then the second half reaction. Each part keeps
-u >= 0, and the reaction and the diffusion are exact, so only the split's
-accuracy and the advection CFL bound the step (`dt_max`).
+One step is a symmetric Strang split, second order in dt. For u: half
+reaction (the exact flow of du/dt = f(u)/eps^2), Heun (SSP-RK2) upwind
+advection over half the step, exact diffusion exp(dt*Laplacian) in the
+cosine basis, the second advection half and the second half reaction. The
+enzymes m take half their source, exact diffusion and decay, and the other
+half of the source (u before and after the step); the accumulated enzyme
+integral is updated by the trapezoid rule, and v is reconstructed from it
+exactly. Each part keeps u >= 0 and m >= 0, and the reaction and the
+diffusion are exact, so only the split's accuracy and the advection CFL
+bound the step (`dt_max`).
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from .grid import (
     advective_divergence,
     gradient_centered,
     heat_neumann,
-    helmholtz_solve_neumann,
 )
 from .kernel import ChiSpec, is_number
 
@@ -322,36 +324,42 @@ def chi_gradient(v: ScalarField, chi: ChiSpec):
 
 def advection_dt(h: float, w) -> float:
     """Advection CFL h / (4 max|w|) for the drift w; infinite for no drift
-    (None) or a zero one."""
+    (None) or a zero one. max|w| is the root of max(wx^2 + wy^2): the
+    square root is monotone and correctly rounded, so it equals the
+    maximum of the roots."""
     if w is None:
         return math.inf
-    w_max = float(np.sqrt(w[0]**2 + w[1]**2).max())
+    w2 = np.square(w[0])
+    w2 += np.square(w[1])
+    w_max = math.sqrt(w2.max())
     return h / (4.0 * w_max) if w_max > 0 else math.inf
 
 
 def dt_max(p: HaptoParams, grid: Grid, w) -> float:
-    """Step bound: eps^2/5, the split's accuracy rule, and the advection CFL
-    of the drift w = chi_gradient(v, p.chi), which None (constant chi)
+    """Step bound: 4 eps^2/5, the split's accuracy rule, and the advection
+    CFL of the drift w = chi_gradient(v, p.chi), which None (constant chi)
     leaves out. Diffusion and the reaction are exact, so neither sets a
     stability bound, and the step does not shrink with h when there is no
     drift.
 
-    The split is first order in dt: m's backward Euler takes the source
-    from the start of the step. The rule is that m's time error stays
-    within 10% of criterion 5's m-gap at every eps of the study. Against
-    the same run at eps^2/40 (circle r 0.25, v0 = 1 + 0.2 cos(pi x)
-    cos(pi y), m0 = 0.3 + 0.1 cos(2 pi x), t = 0.01, h = eps/4):
+    The split is second order in dt (`step_diffuse`). The rule: at its
+    cap, the step's m error and front error are each no larger than those
+    of the first-order split it replaced (backward Euler for m, one
+    upwind advection before the heat flow) at its cap of eps^2/5. Errors
+    against the same run at eps^2/80 (circle r 0.25, v0 = 1 + 0.2 cos(pi
+    x) cos(pi y), m0 = 0.3 + 0.1 cos(2 pi x), t = 0.01, h = eps/4), as m
+    error; front error:
 
-        eps   cap        m error  (share of the m-gap)  front error
-        0.04  eps^2/10   7.3e-5   (3.4%)                1.6e-3 h
-        0.04  eps^2/5    1.7e-4   (7.9%)                3.7e-3 h
-        0.04  eps^2/2.5  3.6e-4   (16.7%, breaks it)    8.1e-3 h
-        0.02  eps^2/5    4.8e-5   (4.0%)                1.8e-3 h
-        0.01  eps^2/5    1.2e-5   (2.0%)                8.6e-4 h
+        eps   prep_shift  first order at eps^2/5  this step at 4 eps^2/5
+        0.04  0           1.80e-4; 4.0e-3 h       5.96e-6; 2.37e-3 h
+        0.04  1           1.85e-4; 4.28e-3 h      5.9e-6; 1.74e-3 h
+        0.02  0           5.12e-5; 1.88e-3 h      2.19e-6; 8.0e-4 h
+        0.02  1           5.10e-5; 1.93e-3 h      2.18e-6; 8.0e-4 h
 
-    A longer cap needs an exact enzyme step.
+    At 8 eps^2/5 the front error is 9.78e-3 h at eps 0.04, which breaks
+    the rule, so 4 eps^2/5 is the cap.
     """
-    return min(p.eps**2 / 5.0, advection_dt(grid.h, w))
+    return min(4.0 * p.eps**2 / 5.0, advection_dt(grid.h, w))
 
 
 def _reaction_half_step(u: np.ndarray, p: HaptoParams, half_dt: float
@@ -380,22 +388,49 @@ def _reaction_half_step(u: np.ndarray, p: HaptoParams, half_dt: float
     return y
 
 
-def advance_enzyme(m: ScalarField, source: np.ndarray, alpha: float,
-                   dt: float) -> ScalarField:
-    """Backward-Euler step of m_t = alpha lap(m) + source - m."""
-    rhs = ScalarField(m.grid, m.values + dt * source)
-    return helmholtz_solve_neumann(1.0 + dt, dt * alpha, rhs)
+def _heun_advection(u: np.ndarray, grid: Grid, w, tau: float
+                    ) -> np.ndarray:
+    """u after time tau of u_t = -div(u w) by one SSP-RK2 (Heun) step of
+    the upwind divergence (Shu and Osher, JCP 77, 1988): the mean of u and
+    two forward-Euler steps from it. It keeps u >= 0 where forward Euler
+    does, tau <= h / (4 max|w|)."""
+    u1 = advective_divergence(ScalarField(grid, u), w).values
+    u1 *= -tau
+    u1 += u
+    u2 = advective_divergence(ScalarField(grid, u1), w).values
+    u2 *= -tau
+    u2 += u1
+    u2 += u
+    u2 *= 0.5
+    return u2
+
+
+def advance_enzyme(m: ScalarField, s0: np.ndarray, s1: np.ndarray,
+                   alpha: float, dt: float) -> ScalarField:
+    """m after dt of m_t = alpha lap(m) + s - m, with the source s0 at the
+    start of the step and s1 at its end: a Strang source split,
+    e^(-dt) heat_neumann(m + (dt/2) s0, alpha dt) + (dt/2) s1. It is
+    second order, keeps m >= 0 for sources >= 0 (heat_neumann is
+    non-negative) and its mean follows
+    e^(-dt) (<m> + (dt/2) <s0>) + (dt/2) <s1>."""
+    rhs = (0.5 * dt) * s0
+    rhs += m.values
+    out = heat_neumann(ScalarField(m.grid, rhs), alpha * dt).values
+    out *= math.exp(-dt)
+    out += (0.5 * dt) * s1
+    return ScalarField(m.grid, out)
 
 
 def advance_vm(v_init: ScalarField, m: ScalarField, int_m: ScalarField,
-               source: np.ndarray, p: HaptoParams, dt: float
+               s0: np.ndarray, s1: np.ndarray, p: HaptoParams, dt: float
                ) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """One step of the (v, m) subsystem driven by the occupancy `source`.
+    """One step of the (v, m) subsystem driven by the occupancy, s0 at the
+    start of the step and s1 at its end.
 
-    Backward Euler for m, the trapezoid rule for the enzyme integral, and
-    the exact matrix v = v_init exp(-lam int m). Returns (v, m, int_m).
+    `advance_enzyme` for m, the trapezoid rule for the enzyme integral,
+    and the exact matrix v = v_init exp(-lam int m). Returns (v, m, int_m).
     """
-    m_new = advance_enzyme(m, source, p.alpha, dt)
+    m_new = advance_enzyme(m, s0, s1, p.alpha, dt)
     int_new = int_m.values + 0.5 * dt * (m.values + m_new.values)
     v_new = v_init.values * np.exp(-p.lam * int_new)
     return (ScalarField(m.grid, v_new), m_new,
@@ -404,18 +439,22 @@ def advance_vm(v_init: ScalarField, m: ScalarField, int_m: ScalarField,
 
 def step_diffuse(s: DiffuseState, p: HaptoParams, dt: float,
                  w) -> DiffuseState:
-    """One Strang-split step with the drift w = chi_gradient(s.v, p.chi);
-    t advances by dt. With w None (constant chi) u is not advected."""
+    """One symmetric Strang-split step with the drift
+    w = chi_gradient(s.v, p.chi); t advances by dt. For u: half reaction,
+    Heun advection over dt/2, exact heat flow over dt, Heun advection over
+    dt/2 and half reaction, both Heun halves with the drift w of the
+    step's start. With w None (constant chi) u is not advected. (v, m)
+    step by `advance_vm` with u before and after as the source."""
     grid = s.u.grid
     u = _reaction_half_step(s.u.values, p, 0.5 * dt)
-
     if w is not None:
-        u = u - dt * advective_divergence(ScalarField(grid, u), w).values
+        u = _heun_advection(u, grid, w, 0.5 * dt)
     u = heat_neumann(ScalarField(grid, u), dt).values
-    v_new, m_new, int_m = advance_vm(s.v_init, s.m, s.int_m, s.u.values,
-                                     p, dt)
-
+    if w is not None:
+        u = _heun_advection(u, grid, w, 0.5 * dt)
     u = _reaction_half_step(u, p, 0.5 * dt)
+    v_new, m_new, int_m = advance_vm(s.v_init, s.m, s.int_m, s.u.values, u,
+                                     p, dt)
 
     out = DiffuseState(ScalarField(grid, u), v_new, m_new, int_m, s.t + dt,
                        s.v_init)
@@ -469,8 +508,9 @@ def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
     """Integrate the (v, m) subsystem for a prescribed u history.
 
     times/u_fields describe u linearly in time; the steps are those of
-    step_diffuse (advance_vm). Returns (times, v_fields, m_fields) sampled
-    at the input times.
+    step_diffuse (advance_vm), with u at the start and the end of each
+    step as the source. Returns (times, v_fields, m_fields) sampled at the
+    input times.
     """
     times = [float(t) for t in times]
     if len(times) != len(u_fields) or len(times) < 1:
@@ -492,7 +532,8 @@ def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
 
     def advance(s: DiffuseState, mark: float) -> DiffuseState:
         step = min(dt, mark - s.t)
-        v, m, int_m = advance_vm(v0, s.m, s.int_m, u_at(s.t), p, step)
+        v, m, int_m = advance_vm(v0, s.m, s.int_m, u_at(s.t),
+                                 u_at(s.t + step), p, step)
         return replace(s, v=v, m=m, int_m=int_m, t=s.t + step)
 
     s0 = DiffuseState(u_fields[0], v0, m0, ScalarField.full(v0.grid, 0.0),

@@ -110,17 +110,21 @@ def advective_divergence(u: ScalarField, w) -> ScalarField:
     w is a velocity (wx, wy) of two arrays."""
     h = u.grid.h
     uv = u.values
-    wx, wy = w
-    # face velocities by averaging; walls excluded (flux 0 there)
-    wfx = 0.5 * (wx[:-1, :] + wx[1:, :])
-    wfy = 0.5 * (wy[:, :-1] + wy[:, 1:])
-    ufx = np.where(wfx > 0.0, uv[:-1, :], uv[1:, :])
-    ufy = np.where(wfy > 0.0, uv[:, :-1], uv[:, 1:])
     fx = np.zeros((u.grid.nx + 1, u.grid.ny))
     fy = np.zeros((u.grid.nx, u.grid.ny + 1))
-    fx[1:-1, :] = ufx * wfx
-    fy[:, 1:-1] = ufy * wfy
-    div = (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
+    # each inner face: the face velocity 0.5 (w_lo + w_hi), times u on its
+    # upwind side, built in the flux array itself; the wall faces keep
+    # flux 0
+    for f, wa, lo, hi in ((fx[1:-1, :], w[0], np.s_[:-1, :], np.s_[1:, :]),
+                          (fy[:, 1:-1], w[1], np.s_[:, :-1], np.s_[:, 1:])):
+        np.add(wa[lo], wa[hi], out=f)
+        f *= 0.5
+        f *= np.where(f > 0.0, uv[lo], uv[hi])
+    div = np.subtract(fx[1:, :], fx[:-1, :])
+    div /= h
+    dy = np.subtract(fy[:, 1:], fy[:, :-1], out=fx[:-1, :])  # fx is spent
+    dy /= h
+    div += dy
     return ScalarField(u.grid, div)
 
 
@@ -169,51 +173,41 @@ def _laplacian_eigenvalues(grid: Grid) -> np.ndarray:
     return lam
 
 
-def _in_cosine_basis(f: ScalarField, act) -> ScalarField:
-    """Apply an operator that is diagonal in the tensor cosine basis:
-    transform f, let act(coef, lam) map the coefficients in place, given
-    the eigenvalues lam of the 5-point mirror-ghost Laplacian, and
-    transform back. The transforms are scipy.fft's DCT-II on both axes,
+@functools.lru_cache(maxsize=8)
+def _heat_multiplier(grid: Grid, t: float) -> np.ndarray:
+    """exp(t*lam) over the eigenvalues lam of `_laplacian_eigenvalues`,
+    built once per (grid, t) and read-only: a run repeats its few step
+    lengths from step to step."""
+    mult = np.exp(t * _laplacian_eigenvalues(grid))
+    mult.flags.writeable = False
+    return mult
+
+
+def heat_neumann(f: ScalarField, t: float) -> ScalarField:
+    """Exact heat flow exp(t*Laplacian) f of the 5-point mirror-ghost
+    Laplacian over time t >= 0. The Laplacian is diagonal in the tensor
+    cosine basis (Schumann & Sweet, JCP 20, 1976), so the flow is a cosine
+    transform, a multiplication by exp(t*lam) (`_heat_multiplier`) and
+    the inverse transform. The operator is non-negative and keeps the mass
+    and constants, since the Laplacian has non-negative off-diagonal
+    entries and zero row sums.
+
+    The transforms are scipy.fft's DCT-II on both axes,
     c_k = 2 sum_j x_j cos(pi k (j + 1/2) / n), and its inverse. They run
     on one worker by default: on a 2-core host, a BLAS matrix product in
     their place became an order of magnitude slower as soon as another
     process competed for the cores.
     """
+    if t < 0:
+        raise ValueError("need t >= 0")
     # Imported on first use: loading scipy.fft costs about 30 ms, which
     # runs that make no cosine solve (curvature flow with frozen fields)
     # should not pay when they import haptolab.
     from scipy import fft
-    grid = f.grid
-    coef = act(fft.dctn(f.values, type=2), _laplacian_eigenvalues(grid))
+    coef = fft.dctn(f.values, type=2)
+    coef *= _heat_multiplier(f.grid, t)
     # coef is dctn's own array, never the caller's f.values
-    return ScalarField(grid, fft.idctn(coef, type=2, overwrite_x=True))
-
-
-def helmholtz_solve_neumann(a: float, b: float,
-                            rhs: ScalarField) -> ScalarField:
-    """Solve (a*I - b*Laplacian) x = rhs with Neumann walls exactly.
-
-    The 5-point mirror-ghost Laplacian is diagonal in the tensor cosine
-    basis (Schumann & Sweet, JCP 20, 1976), so the solve is a cosine
-    transform, a division by the eigenvalues of a*I - b*Laplacian (at
-    least a > 0 for b >= 0) and the inverse transform.
-    """
-    if a <= 0 or b < 0:
-        raise ValueError("need a > 0 and b >= 0")
-    return _in_cosine_basis(rhs, lambda coef, lam: np.divide(
-        coef, a - b * lam, out=coef))
-
-
-def heat_neumann(f: ScalarField, t: float) -> ScalarField:
-    """Exact heat flow exp(t*Laplacian) f of the 5-point mirror-ghost
-    Laplacian over time t >= 0: a multiplication by exp(t*lam) in the
-    cosine basis. The operator is non-negative and keeps the mass and
-    constants, since the Laplacian has non-negative off-diagonal entries
-    and zero row sums."""
-    if t < 0:
-        raise ValueError("need t >= 0")
-    return _in_cosine_basis(f, lambda coef, lam: np.multiply(
-        coef, np.exp(t * lam), out=coef))
+    return ScalarField(f.grid, fft.idctn(coef, type=2, overwrite_x=True))
 
 
 # --- snapshot file format -------------------------------------------------

@@ -224,8 +224,16 @@ def _upwind_advection(c: np.ndarray, q_up: np.ndarray, a,
     on the band cells, q_up phi at their upwind neighbours
     (`_upwind_stencil`) and a = (|wx|, |wy|). A cell with wx <= 0 reads its
     neighbour (i + 1, j), and (c - phi_up) |wx| equals
-    (phi_up - c) wx bit for bit."""
-    return (c - q_up[0]) / h * a[0] + (c - q_up[1]) / h * a[1]
+    (phi_up - c) wx bit for bit. It runs in place, in the order of
+    (c - q_up[0]) / h * a[0] + (c - q_up[1]) / h * a[1]: q_up's rows are
+    its scratch, and the result is one of them."""
+    dx, dy = q_up
+    for d, ad in ((dx, a[0]), (dy, a[1])):
+        np.subtract(c, d, out=d)
+        d /= h
+        d *= ad
+    dx += dy
+    return dx
 
 
 def _band_gradient_norm(phi: np.ndarray, band: np.ndarray,
@@ -312,6 +320,9 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
     the padded buffer's interior, where `run_sharp`'s front pass reads
     |grad phi| (`_padded`).
 
+    (v, m) step by `advance_vm`, whose source is the indicator of the
+    inside {phi < 0} of s.phi at the start and of the new phi at the end.
+
     w is the drift chi_gradient(s.v, p.chi); None (constant chi) means no
     drift, and the front moves by curvature alone. With evolve_fields=False
     the fields are frozen, which is exact for the haptotaxis-off oracle
@@ -340,9 +351,9 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
     phi = pad[1:-1, 1:-1]   # `_padded` finds pad again from it
 
     if evolve_fields:
-        u_ind = (s.phi.values < 0).astype(float)
-        v_new, m_new, int_m = advance_vm(s.v_init, s.m, s.int_m, u_ind, p,
-                                         dt)
+        v_new, m_new, int_m = advance_vm(
+            s.v_init, s.m, s.int_m, (s.phi.values < 0).astype(float),
+            (phi < 0).astype(float), p, dt)
     else:
         m_new, v_new, int_m = s.m, s.v, s.int_m
 

@@ -19,7 +19,6 @@ from haptolab.grid import (
     advective_divergence,
     gradient_centered,
     heat_neumann,
-    helmholtz_solve_neumann,
     interpolate_bilinear,
     laplacian_neumann,
     read_snapshot,
@@ -140,6 +139,42 @@ class TestAdvectiveDivergence:
         assert sup(combo.values - parts) < 1e-12
 
 
+def allocating_advective_divergence(u, w):
+    """advective_divergence as one allocating expression per quantity: the
+    oracle for the version that builds the fluxes in place."""
+    h, uv, (wx, wy) = u.grid.h, u.values, w
+    wfx = 0.5 * (wx[:-1, :] + wx[1:, :])
+    wfy = 0.5 * (wy[:, :-1] + wy[:, 1:])
+    ufx = np.where(wfx > 0.0, uv[:-1, :], uv[1:, :])
+    ufy = np.where(wfy > 0.0, uv[:, :-1], uv[:, 1:])
+    fx = np.zeros((u.grid.nx + 1, u.grid.ny))
+    fy = np.zeros((u.grid.nx, u.grid.ny + 1))
+    fx[1:-1, :] = ufx * wfx
+    fy[:, 1:-1] = ufy * wfy
+    return (fx[1:, :] - fx[:-1, :]) / h + (fy[:, 1:] - fy[:, :-1]) / h
+
+
+@settings(max_examples=150, deadline=None)
+@given(nx=st.integers(8, 20), ny=st.integers(8, 20),
+       seed=st.integers(0, 2**32 - 1),
+       h=st.sampled_from([1.0 / 64, 0.37, 1e-3]))
+def test_advective_divergence_matches_allocating_formula(nx, ny, seed, h):
+    # some drift cells are 0 and some neighbours cancel, so face velocities
+    # of exactly 0 take the downwind branch as the oracle does
+    rng = np.random.default_rng(seed)
+    u = ScalarField(Grid(nx, ny, h), rng.uniform(0.0, 2.0, (nx, ny)))
+    wx, wy = rng.normal(size=(2, nx, ny))
+    wx[rng.random((nx, ny)) < 0.2] = 0.0
+    cancel = rng.random((nx, ny - 1)) < 0.2
+    wy[:, 1:][cancel] = -wy[:, :-1][cancel]
+    kept = u.values.copy(), wx.copy(), wy.copy()
+    out = advective_divergence(u, (wx, wy)).values
+    np.testing.assert_array_equal(
+        out, allocating_advective_divergence(u, (wx, wy)))
+    for x, y in zip(kept, (u.values, wx, wy)):
+        np.testing.assert_array_equal(x, y)
+
+
 def test_operator_linearity_random_superposition():
     rng = np.random.default_rng(19)
     g = Grid.unit_square(12)
@@ -190,29 +225,11 @@ class TestInterpolation:
             interpolate_bilinear(f, (1.5, 0.5))
 
 
-def test_helmholtz_solver_matches_dense_reference():
-    rng = np.random.default_rng(23)
-    a, b = 1.3, 0.02
-    for nx, ny in ((8, 8), (16, 12), (9, 13)):
-        g = Grid(nx, ny, 1.0 / nx)
-        rhs = ScalarField(g, rng.normal(size=(nx, ny)))
-        x = helmholtz_solve_neumann(a, b, rhs)
-        residual = a * x.values - b * laplacian_neumann(x).values - rhs.values
-        assert sup(residual) <= 1e-12
-        # the dense operator, assembled column by column from the stencil
-        cols = [a * e - b * laplacian_neumann(
-            ScalarField(g, e.reshape(nx, ny))).values.ravel()
-            for e in np.eye(nx * ny)]
-        dense = np.linalg.solve(np.stack(cols, axis=1), rhs.values.ravel())
-        assert sup(x.values.ravel() - dense) < 1e-12
-
-
 def test_cosine_solves_leave_their_argument_unchanged():
     rng = np.random.default_rng(37)
     f = ScalarField(Grid(16, 12, 1.0 / 16), rng.normal(size=(16, 12)))
     before = f.values.copy()
     heat_neumann(f, 3e-3)
-    helmholtz_solve_neumann(1.3, 0.02, f)
     assert np.array_equal(f.values, before)
 
 

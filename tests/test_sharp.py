@@ -18,7 +18,7 @@ from haptolab.curves import (
     distance_to_curve,
     signed_distance_to_loop,
 )
-from haptolab.diffuse import HaptoParams, advection_dt
+from haptolab.diffuse import HaptoParams, advance_vm, advection_dt
 from haptolab.errors import (
     BoundaryContactError,
     DegenerateLevelSetError,
@@ -245,6 +245,17 @@ class TestMotion:
         assert c1[0] - c0[0] > 5e-4
         assert abs(c1[1] - c0[1]) < 2e-4
 
+    def test_enzyme_source_is_the_inside_before_and_after(self):
+        # the step moves the front across cells, so the two indicators differ
+        s = circle_state(n=64, r=0.2)
+        out = step_sharp(s, mcf, 3e-3, None)
+        before, after = s.phi.values < 0, out.phi.values < 0
+        assert np.any(before != after)
+        expected = advance_vm(s.v_init, s.m, s.int_m, before.astype(float),
+                              after.astype(float), mcf, 3e-3)
+        for a, b in zip(expected, (out.v, out.m, out.int_m)):
+            np.testing.assert_array_equal(a.values, b.values)
+
     def test_extinction_detected(self):
         s = circle_state(n=64, r=0.06, d0=0.03)
         with pytest.raises(InterfaceExtinct):
@@ -389,6 +400,12 @@ def allocating_curvature(q, h):
     return np.clip(num / g2, -lim, lim)
 
 
+def allocating_upwind(c, q_up, a, h):
+    """_upwind_advection as one allocating expression: the oracle for the
+    in-place version."""
+    return (c - q_up[0]) / h * a[0] + (c - q_up[1]) / h * a[1]
+
+
 def allocating_rkl2(y0, rate, dt, stages):
     """_rkl2_step as one allocating expression per stage: the oracle for
     the in-place version, operation for operation."""
@@ -435,6 +452,23 @@ class TestInPlace:
         else:
             np.testing.assert_array_equal(curvature_term(q.copy(), h),
                                           expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+           h=st.sampled_from([1.0 / 256, 0.37, 1e-3]))
+    def test_upwind_advection(self, m, seed, h):
+        # q_up is scratch, as step_sharp's gather is; c and a are read only
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-1.0, 1.0, m)
+        q_up = c + rng.choice([0.0, 1e-3, 1.0]) * rng.uniform(-1.0, 1.0,
+                                                               (2, m))
+        a = tuple(np.abs(rng.normal(size=(2, m))))
+        expected = allocating_upwind(c, q_up, a, h)
+        kept = c.copy(), a[0].copy(), a[1].copy()
+        np.testing.assert_array_equal(_upwind_advection(c, q_up, a, h),
+                                      expected)
+        for x, y in zip(kept, (c, *a)):
+            np.testing.assert_array_equal(x, y)
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
