@@ -34,9 +34,6 @@ from .errors import ConfigError, HaptolabError
 from .grid import write_snapshot
 from .kernel import ChiSpec, is_number, solve_profile_bvp, standing_profile
 
-KINDS = ("diffuse", "sharp", "compare", "generation", "convergence",
-         "profile")
-
 # the study's own keys default to StudyConfig's field values, and the nested
 # objects to their records' (m0 to constant 0.3); a nested object in a
 # config is merged over its default, so the keys it leaves out keep theirs
@@ -76,9 +73,10 @@ def normalize_config(data: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     merged = {**_DEFAULTS, **data}
-    if merged["kind"] not in KINDS:
+    kinds = dict(_COMMANDS.values())
+    if merged["kind"] not in kinds:
         raise ConfigError(
-            f"kind must be one of {', '.join(KINDS)}, got {merged['kind']!r}"
+            f"kind must be one of {', '.join(kinds)}, got {merged['kind']!r}"
         )
     for key, default in _NESTED.items():
         if not isinstance(merged[key], dict):
@@ -225,13 +223,14 @@ def _run_convergence(cfg: RunConfig, out: Path):
               zip(rec.eps_list, rec.interface_distance, rec.v_gap, rec.m_gap))
 
 
-_PIPELINES = {
-    "profile": _run_profile,
-    "diffuse": _run_diffuse,
-    "sharp": _run_sharp,
-    "compare": _run_compare,
-    "generation": _run_generation,
-    "convergence": _run_convergence,
+# subcommand -> (the config kind it runs, its pipeline), in --help order
+_COMMANDS = {
+    "simulate-diffuse": ("diffuse", _run_diffuse),
+    "simulate-sharp": ("sharp", _run_sharp),
+    "compare": ("compare", _run_compare),
+    "generation": ("generation", _run_generation),
+    "convergence": ("convergence", _run_convergence),
+    "profile": ("profile", _run_profile),
 }
 
 
@@ -242,7 +241,7 @@ def run_experiment(cfg: RunConfig, out_dir=None) -> tuple[Path, bool]:
     out = Path(root)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    passed = _PIPELINES[cfg.kind](cfg, out)
+    passed = dict(_COMMANDS.values())[cfg.kind](cfg, out)
     _write_manifest(out, cfg, time.perf_counter() - start)
     return out, passed is not False
 
@@ -254,15 +253,7 @@ def main(argv=None) -> int:
                     "solvers with verification experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    alias = {
-        "simulate-diffuse": "diffuse",
-        "simulate-sharp": "sharp",
-        "compare": "compare",
-        "generation": "generation",
-        "convergence": "convergence",
-        "profile": "profile",
-    }
-    for name in alias:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
@@ -272,7 +263,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        expected = alias[args.command]
+        expected = _COMMANDS[args.command][0]
         if cfg.kind != expected:
             raise ConfigError(
                 f"config kind {cfg.kind!r} does not match "

@@ -120,7 +120,9 @@ def extract_level_curve(f: ScalarField, level: float) -> InterfaceCurve:
 
     Vertices come from linear interpolation along lattice lines through cell
     centers, so bilinear re-interpolation reproduces the level to round-off.
-    The longest loop is primary; further loops are kept in `extras`.
+    The longest loop is primary; further loops are kept in `extras`. A
+    piece that ends on the edge of the cell-centre lattice raises
+    InvalidCurveError, or EmptyLevelSetError if no loop closes at all.
     """
     v = f.values
     g = f.grid
@@ -197,6 +199,13 @@ def extract_level_curve(f: ScalarField, level: float) -> InterfaceCurve:
 
     if not loops:
         raise EmptyLevelSetError("no closed loop found at the requested level")
+    # a vertex with one neighbour ends a piece on the lattice's edge
+    ends = [e for e, nbrs in adjacency.items() if len(nbrs) == 1]
+    if ends:
+        x, y = vertex(ends[0])
+        raise InvalidCurveError(
+            f"level {level}: a piece of the level set ends on the "
+            f"lattice's edge at ({x:.6g}, {y:.6g})")
 
     polylines = []
     for loop in loops:

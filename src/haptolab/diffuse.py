@@ -510,8 +510,11 @@ def solve_vm_for_u(times, u_fields, p: HaptoParams, v0: ScalarField,
     times/u_fields describe u linearly in time; the steps are those of
     step_diffuse (advance_vm), with u at the start and the end of each
     step as the source. Returns (times, v_fields, m_fields) sampled at the
-    input times.
+    input times. dt must be a positive finite number: march would never
+    reach a mark with steps of min(dt, mark - t) <= 0.
     """
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be a positive finite number, got {dt}")
     times = [float(t) for t in times]
     if len(times) != len(u_fields) or len(times) < 1:
         raise ValueError("times and u_fields must align")

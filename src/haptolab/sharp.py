@@ -114,29 +114,6 @@ def _mirror_ghosts(p: np.ndarray) -> None:
     p[:, -1] = p[:, -2]
 
 
-def _padded(values: np.ndarray) -> np.ndarray:
-    """values inside a mirror ghost ring (`_mirror_ghosts`). A phi that
-    `step_sharp` returned is the interior of such a grid already, which is
-    returned with its ghosts refreshed instead of a copy."""
-    nx, ny = values.shape
-    p = values.base
-    if (isinstance(p, np.ndarray) and p.shape == (nx + 2, ny + 2)
-            and p.strides == values.strides
-            and p[1:, 1:].ctypes.data == values.ctypes.data):
-        _mirror_ghosts(p)
-        return p
-    return np.pad(values, 1, mode="edge")
-
-
-def _padded_index(band: np.ndarray) -> np.ndarray:
-    """The band cells' flat indices in the ravel of the padded grid, in
-    the order of values[band]."""
-    ny = band.shape[1]
-    idx = np.flatnonzero(band)   # i ny + j
-    # (i + 1)(ny + 2) + j + 1, the same cell in the padded grid
-    return idx + 2 * (idx // ny) + ny + 3
-
-
 def _band_stencil(values: np.ndarray, band: np.ndarray):
     """Where the band's stencils read: a new mirror-padded copy of the
     grid (a ghost cell equals its neighbour inside the grid,
@@ -150,8 +127,11 @@ def _band_stencil(values: np.ndarray, band: np.ndarray):
     p[1:-1, 1:-1] = values
     _mirror_ghosts(p)
     s = ny + 2
+    idx = np.flatnonzero(band)   # i ny + j
+    # (i + 1)(ny + 2) + j + 1, the same cell in the padded grid
+    k = idx + 2 * (idx // ny) + s + 1
     offsets = np.array([0, s, -s, 1, -1, s + 1, s - 1, 1 - s, -1 - s])
-    return p, _padded_index(band) + offsets[:, None]
+    return p, k + offsets[:, None]
 
 
 def curvature_term(q: np.ndarray, h: float) -> np.ndarray:
@@ -240,18 +220,16 @@ def _band_gradient_norm(phi: np.ndarray, band: np.ndarray,
                         h: float) -> np.ndarray:
     """|grad phi| on the band cells, in the order of phi[band], equal to
     np.hypot(*np.gradient(phi, h, edge_order=1))[band]: centered
-    differences inside, one-sided on the wall ring. At a wall the ghost
-    equals the cell next to it, so the padded difference there is the
-    one-sided one and only its divisor changes from 2h to h. It reads the
-    padded grid `_padded` gives, the step's own for a phi `step_sharp`
-    returned."""
+    differences inside, one-sided on the wall ring. A neighbour past a
+    wall is the cell itself, so the difference there is the one-sided one
+    and the divisor, the neighbours' distance, is h instead of 2h."""
     nx, ny = phi.shape
-    buf, k, s = _padded(phi).ravel(), _padded_index(band), ny + 2
-    i, j = np.divmod(k, s)
-    dx = np.where((i == 1) | (i == nx), h, 2. * h)
-    dy = np.where((j == 1) | (j == ny), h, 2. * h)
-    return np.hypot((buf[k + s] - buf[k - s]) / dx,
-                    (buf[k + 1] - buf[k - 1]) / dy)
+    v, k = phi.ravel(), np.flatnonzero(band)
+    i, j = np.divmod(k, ny)
+    xp, xm = np.where(i < nx - 1, k + ny, k), np.where(i > 0, k - ny, k)
+    yp, ym = np.where(j < ny - 1, k + 1, k), np.where(j > 0, k - 1, k)
+    return np.hypot((v[xp] - v[xm]) / ((xp - xm) // ny * h),
+                    (v[yp] - v[ym]) / ((yp - ym) * h))
 
 
 STEP_STAGES = 5   # the stages of a full step; run_sharp's cap is their reach
@@ -314,11 +292,11 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
     phi_t = K(phi) |grad phi| - w . grad phi is stepped on the band
     |phi| < 2.5 d0 of s.phi, taken once for the step; the cells off it keep
     their values. The step takes `_rkl2_stages(dt, h)` stages
-    (`_rkl2_step`), 5 at `run_sharp`'s cap of 7 h^2/3. Every stage writes its band values into one
-    mirror-padded buffer and gathers its stencils from there into one
-    buffer of the step, which `curvature_term` works in. The new phi is
-    the padded buffer's interior, where `run_sharp`'s front pass reads
-    |grad phi| (`_padded`).
+    (`_rkl2_step`), 5 at `run_sharp`'s cap of 7 h^2/3. Every stage
+    writes its band values into one mirror-padded buffer and gathers its
+    stencils from there into one buffer of the step, which
+    `curvature_term` works in. The new phi is a copy of the padded
+    buffer's interior, an array of its own.
 
     (v, m) step by `advance_vm`, whose source is the indicator of the
     inside {phi < 0} of s.phi at the start and of the new phi at the end.
@@ -348,7 +326,7 @@ def step_sharp(s: SharpState, p: HaptoParams, dt: float, w,
         return out
 
     buf[k] = _rkl2_step(buf[k], rate, dt, _rkl2_stages(dt, h))
-    phi = pad[1:-1, 1:-1]   # `_padded` finds pad again from it
+    phi = pad[1:-1, 1:-1].copy()
 
     if evolve_fields:
         v_new, m_new, int_m = advance_vm(

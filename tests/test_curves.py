@@ -16,7 +16,7 @@ from haptolab.curves import (
     signed_distance_to_loop,
     write_curve,
 )
-from haptolab.errors import EmptyLevelSetError
+from haptolab.errors import EmptyLevelSetError, InvalidCurveError
 from haptolab.grid import Grid, ScalarField, interpolate_bilinear
 
 
@@ -54,6 +54,16 @@ class TestExtraction:
         with pytest.raises(EmptyLevelSetError):
             # an open chain never closes into a loop
             extract_level_curve(f, 0.8)
+
+    def test_open_piece_beside_a_loop_raises(self):
+        # a disc closes a loop, and the band x > 0.85 leaves a piece that
+        # ends on the lattice's edge: dropping it would misreport the set
+        g = Grid.unit_square(64)
+        f = ScalarField.from_function(
+            g, lambda x, y: (((x - 0.35) ** 2 + (y - 0.5) ** 2 < 0.15**2)
+                             | (x > 0.85)).astype(float))
+        with pytest.raises(InvalidCurveError, match="level 0.5"):
+            extract_level_curve(f, 0.5)
 
     def test_two_components_reported(self):
         g = Grid.unit_square(96)

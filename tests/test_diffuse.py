@@ -485,6 +485,16 @@ class TestSubsystem:
         v_exact = math.exp(-p.lam * int_exact)
         assert abs(v_out[-1].values.mean() - v_exact) < 1e-5
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, dt):
+        # with dt = 0 the march never reaches its first mark
+        grid = Grid.unit_square(8)
+        ones = ScalarField.full(grid, 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            solve_vm_for_u([0.0, 0.1], [ones, ones],
+                           HaptoParams(eps=0.1, lam=1.0, alpha=1.0),
+                           v0=ones, m0=ScalarField.full(grid, 0.0), dt=dt)
+
     def test_gradient_of_linear_chi(self):
         grid = Grid.unit_square(16)
         v = ScalarField.from_function(grid, lambda x, y: 2 * x - 0.5 * y)

@@ -34,7 +34,6 @@ from haptolab.sharp import (
     _band_stencil,
     _clamp,
     _grow,
-    _padded,
     _rkl2_reach,
     _rkl2_stages,
     _rkl2_step,
@@ -492,11 +491,11 @@ class TestInPlace:
         np.testing.assert_array_equal(y0, before)
 
     def test_step_leaves_its_input_alone(self):
-        # a stepped phi is the interior of the step's padded buffer, which
-        # the front pass reads; the next step must pad a copy, not write
-        # into it
+        # a stepped phi is a copy of the step's padded buffer's interior;
+        # the next step must pad a copy of it, not write into it
         s = step_sharp(circle_state(n=64), mcf, 1e-4, None, False)
-        assert _padded(s.phi.values) is s.phi.values.base
+        assert s.phi.values.flags.c_contiguous
+        assert s.phi.values.flags.owndata
         kept = s.phi.values.copy()
         t = step_sharp(s, mcf, 1e-4, None, False)
         np.testing.assert_array_equal(s.phi.values, kept)
@@ -624,6 +623,19 @@ class TestRedistance:
         np.testing.assert_array_equal(redistance(s).phi.values[kept],
                                       expected[kept])
 
+    def test_leaves_the_array_phi_views_alone(self):
+        # phi as the interior view of a larger array of the caller's:
+        # redistancing reads phi and must write nothing outside its result
+        s = circle_state(n=64, r=0.25)
+        big = np.full((66, 66), 7.0)
+        big[1:-1, 1:-1] = 1.5 * s.phi.values
+        kept = big.copy()
+        view = replace(s, phi=ScalarField(s.phi.grid, big[1:-1, 1:-1]))
+        own = replace(s, phi=ScalarField(s.phi.grid, big[1:-1, 1:-1].copy()))
+        np.testing.assert_array_equal(redistance(view).phi.values,
+                                      redistance(own).phi.values)
+        np.testing.assert_array_equal(big, kept)
+
     def test_output_clamped(self):
         s = circle_state(n=64, r=0.2, d0=0.03)
         r = redistance(s)
@@ -718,8 +730,8 @@ class TestBandStencils:
         gx, gy = np.gradient(phi, h, edge_order=1)
         np.testing.assert_array_equal(_band_gradient_norm(phi, band, h),
                                       np.hypot(gx, gy)[band])
-        # phi as the interior of a padded grid whose ghost ring is stale,
-        # as a stepped phi's is once its wall cells are written
+        # phi as a strided view, the interior of a larger array whose
+        # border holds other values
         pad = np.full((phi.shape[0] + 2, phi.shape[1] + 2), 7.0)
         pad[1:-1, 1:-1] = phi
         np.testing.assert_array_equal(

@@ -15,7 +15,8 @@ star, `generation` on a smooth-interior circle, and `simulate-sharp` and
 every artifact they write except manifest.json, which holds the wall time.
 It hashes the differences that `refinement_order(0.1, 5e-4, 32)` returns.
 It runs `run_sharp` on a front of two components with linear chi
-(`two_front_digest`), and last hashes the floats of a small
+(`two_front_digest`) and on a coarse circle whose redistancing reads the
+wall ring (`wall_ring_digest`), and last hashes the floats of a small
 `bracket_check` (`bracket_digest`) and of a small `convergence_study`
 (`convergence_digest`). Two checkouts whose outputs agree print the same
 lines.
@@ -105,6 +106,26 @@ def two_front_digest() -> str:
     return state_digest(run_sharp(s0, p, 2e-3, snapshot_times=(1e-3,)))
 
 
+def wall_ring_digest() -> str:
+    """run_sharp on the clamped circle of radius 0.35 at n = 8 (d0 = 0.04),
+    with linear chi, v0 = 1 + 0.2 cos(pi x) cos(pi y) and m0 = 0.3, to
+    t = 0.01 with one snapshot between. The front is 0.15 from the walls,
+    so the cells the front pass and redistance read |grad phi| on reach
+    the wall ring, where it comes from one-sided differences."""
+    from haptolab.curves import circle_polyline
+    from haptolab.diffuse import HaptoParams
+    from haptolab.grid import Grid, ScalarField
+    from haptolab.kernel import ChiSpec
+    from haptolab.sharp import init_levelset, run_sharp
+    grid = Grid.unit_square(8)
+    X, Y = grid.meshgrid()
+    v0 = ScalarField(grid, 1.0 + 0.2 * np.cos(np.pi * X) * np.cos(np.pi * Y))
+    s0 = init_levelset(circle_polyline((0.5, 0.5), 0.35, n=2048), grid, v0,
+                       ScalarField.full(grid, 0.3), d0=0.04)
+    p = HaptoParams(eps=0.05, lam=1.0, alpha=1.0, chi=ChiSpec.identity())
+    return state_digest(run_sharp(s0, p, 0.01, snapshot_times=(5e-3,)))
+
+
 def bracket_digest() -> str:
     """bracket_check at eps = 0.025 (the diffuse grid at n = 160) against a
     sharp reference at n = 64, to t = 2e-3 with two snapshots. The
@@ -172,6 +193,7 @@ def main() -> None:
     print("refinement_order(0.1, 5e-4, 32) diffs: "
           f"{hashlib.sha256(diffs.tobytes()).hexdigest()}", flush=True)
     print(f"run_sharp two fronts: {two_front_digest()}", flush=True)
+    print(f"run_sharp wall ring: {wall_ring_digest()}", flush=True)
     print(f"bracket_check eps 0.025: {bracket_digest()}", flush=True)
     print(f"convergence_study eps 0.1, 0.05: {convergence_digest()}",
           flush=True)
